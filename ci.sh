@@ -72,6 +72,17 @@ smoke_out="$(mktemp -t bench_smoke.XXXXXX.json)"
 cargo run --release -q -p pdp-experiments -- bench-json --smoke --churn --sink --scaling --durability --recovery --alloc --latency --out "$smoke_out"
 rm -f "$smoke_out"
 
+# The repo benchmark's own checks (its package is a separate workspace,
+# so the steps above never see it): fmt, clippy -D warnings, its tests,
+# then every workload in smoke mode, untraced and traced — each run
+# gated on the reference oracle's output digest, the exact late-drop
+# count and recovered == uninterrupted. A data-path change that alters
+# one release fails here, before anyone reads a throughput number.
+if [[ "$fast" == 0 ]]; then
+  echo "==> benchmark/check.sh (fmt + clippy + tests + oracle-gated smoke of all five workloads)"
+  benchmark/check.sh
+fi
+
 # The service-edge anchor, same rationale as the durability/chaos ones:
 # the same seeded schedule pushed through a real TCP server over
 # loopback must leave the service bit-for-bit identical to the

@@ -9,7 +9,14 @@
 //!   (word-level subset test);
 //! * **subject routing**: the retired per-event `HashMap` route probe
 //!   vs. the dense interned [`RouteTable`] lookup (one bounds check +
-//!   one load) that replaced it on the sharded ingest path.
+//!   one load) that replaced it on the sharded ingest path;
+//! * **reorder buffer**: [`ReorderBuffer::push_into`] per event over four
+//!   arrival orders — in order, in-bound jitter (every arrival a
+//!   `push_back` or a short shift), 10 % displaced + 2 % late at 16
+//!   events/ms (some arrivals reach the side heap), and adversarial
+//!   (every arrival lands mid-run behind ≥ 4 096 pending events: a failed
+//!   64-slot scan plus a heap push and pop each) — so the worst case has
+//!   a number next to the common one.
 //!
 //! Run with: `cargo bench -p pdp-bench --bench hotpath`
 
@@ -20,7 +27,9 @@ use std::hint::black_box;
 use pdp_cep::{match_indicator, match_mask, Pattern};
 use pdp_core::{FlipTable, RouteTable, SubjectId};
 use pdp_dp::{DpRng, Epsilon, FlipProb};
-use pdp_stream::{EventType, IndicatorVector, TypeMask};
+use pdp_stream::{
+    Event, EventType, IndicatorVector, ReorderBuffer, TimeDelta, Timestamp, TypeMask,
+};
 
 const N_TYPES: usize = 128;
 const WINDOWS: u64 = 1_000;
@@ -31,6 +40,12 @@ const ROUTED: u64 = 4096;
 
 /// Route probes per bench iteration.
 const PROBES: usize = 1024;
+
+/// Arrivals per reorder bench iteration.
+const ARRIVALS: usize = 16_384;
+
+/// Events pending before the first adversarial arrival.
+const ADVERSARIAL_PENDING: i64 = 4_096;
 
 /// A flip table protecting half the universe across three probability
 /// classes (the shape overlapping private patterns produce).
@@ -165,10 +180,108 @@ fn bench_route_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// One reorder cell: arrival times relative to the iteration's origin
+/// (the first `prefill` of them are set-up, not counted as throughput)
+/// and the buffer's lateness bound.
+struct ReorderShape {
+    name: &'static str,
+    delay: i64,
+    prefill: usize,
+    arrivals: Vec<i64>,
+}
+
+fn reorder_shapes() -> Vec<ReorderShape> {
+    let mut rng = DpRng::seed_from(7);
+    let in_order = (0..ARRIVALS as i64).collect();
+    // the `sparse` benchmark shape (and `bench-json`'s): ~3 ms per event,
+    // up to 20 ms of jitter under a 40 ms bound
+    let jitter = (0..ARRIVALS as i64)
+        .map(|i| 3 * i - rng.below(20) as i64)
+        .collect();
+    // the `dense` benchmark shape: 16 events per ms (~640 pending under
+    // the 40 ms bound), a tenth displaced anywhere inside the bound, 2 %
+    // beyond it
+    let displaced = (0..ARRIVALS as i64)
+        .map(|i| {
+            let clock = i / 16;
+            match rng.below(100) {
+                0..=9 => clock - 1 - rng.below(39) as i64,
+                10..=11 => clock - 41 - rng.below(40) as i64,
+                _ => clock,
+            }
+        })
+        .collect();
+    // nothing is released before the flush (the bound covers the whole
+    // iteration), the prefill leaves ADVERSARIAL_PENDING events in the
+    // run, and every arrival then belongs in its older half — at least
+    // 2 048 slots from the tail
+    let adversarial = (0..ADVERSARIAL_PENDING)
+        .chain((0..ARRIVALS).map(|_| rng.below(ADVERSARIAL_PENDING as usize / 2) as i64))
+        .collect();
+    vec![
+        ReorderShape {
+            name: "in_order",
+            delay: 40,
+            prefill: 0,
+            arrivals: in_order,
+        },
+        ReorderShape {
+            name: "jitter",
+            delay: 40,
+            prefill: 0,
+            arrivals: jitter,
+        },
+        ReorderShape {
+            name: "displaced_10pct_late_2pct",
+            delay: 40,
+            prefill: 0,
+            arrivals: displaced,
+        },
+        ReorderShape {
+            name: "adversarial",
+            delay: 1 << 20,
+            prefill: ADVERSARIAL_PENDING as usize,
+            arrivals: adversarial,
+        },
+    ]
+}
+
+fn bench_reorder(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reorder");
+    for shape in reorder_shapes() {
+        // one buffer and one output vector for the whole cell, at their
+        // high-water capacity after the first iteration; each iteration
+        // starts a fresh stretch of stream time past the previous one's
+        // clock, so nothing of it is late
+        let span = shape.arrivals.iter().max().expect("non-empty shape") + 1;
+        let stride = span + 2 * shape.delay.min(span);
+        let mut buffer = ReorderBuffer::new(TimeDelta::from_millis(shape.delay));
+        let mut out: Vec<Event> = Vec::with_capacity(shape.arrivals.len());
+        let mut origin = stride;
+        group.throughput(Throughput::Elements(
+            (shape.arrivals.len() - shape.prefill) as u64,
+        ));
+        group.bench_function(BenchmarkId::from_parameter(shape.name), |b| {
+            b.iter(|| {
+                out.clear();
+                for &ms in &shape.arrivals {
+                    let ts = Timestamp::from_millis(origin + black_box(ms));
+                    buffer.push_into(Event::new(EventType(0), ts), &mut out);
+                }
+                buffer.flush_into(&mut out);
+                origin += stride;
+                black_box(out.len())
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_flip_paths,
     bench_match_paths,
-    bench_route_lookup
+    bench_route_lookup,
+    bench_reorder
 );
 criterion_main!(benches);

@@ -68,7 +68,11 @@
 //!   [`ReorderBuffer`] (ownership moves all the way in — no per-event
 //!   clone), and only enter the shard engine once the shard watermark
 //!   passes them; events later than the bounded delay are counted and
-//!   dropped. The service thread mirrors every shard buffer's clock at
+//!   dropped. A shard works **per sub-batch**, not per event: one
+//!   `push_batch_into` offers the whole sub-batch to the buffer and
+//!   releases once, then one pass feeds the released run to the engine
+//!   (identical output to event-at-a-time by the buffer's batch law).
+//!   The service thread mirrors every shard buffer's clock at
 //!   routing time, so the **global low watermark** (the minimum across
 //!   shard buffers) is known without a barrier and drives
 //!   [`StreamingEngine::advance_watermark`] on every shard in the same
@@ -433,19 +437,13 @@ impl ServiceBuilder {
             // global watermark which may reach a shard before its first
             // event). Closes nothing and draws no randomness.
             engine.advance_watermark(Timestamp::ZERO, &mut DpRng::seed_from(0))?;
-            // pre-reserve the reorder heap and the release scratch at one
-            // sub-batch of events: like `partition_buffers`, leaving the
-            // high-water mark to workload noise would let a late burst pay
-            // a realloc mid-ingest and break the zero-allocation gate
-            let mut buffer = ReorderBuffer::new(self.config.max_delay);
-            buffer.reserve(SUB_BATCH);
-            shards.push(Arc::new(Mutex::new(Shard {
+            let buffer = ReorderBuffer::new(self.config.max_delay);
+            shards.push(Arc::new(Mutex::new(Shard::new(
                 buffer,
                 engine,
                 rng,
-                frontier: Timestamp::ZERO,
-                ready: Vec::with_capacity(SUB_BATCH),
-            })));
+                Timestamp::ZERO,
+            ))));
         }
         let mut meta = vec![ShardMeta::default(); n_shards];
         for (_, shard) in routes.iter() {
@@ -532,8 +530,9 @@ struct Shard {
 /// One unit of work queued to a shard worker (or run inline at fold time).
 #[derive(Debug)]
 enum ShardJob {
-    /// This shard's slice of a batch, in arrival order: push each event
-    /// through the reorder buffer into the engine.
+    /// This shard's slice of a batch, in arrival order: offer the whole
+    /// sub-batch to the reorder buffer in one call, then feed everything
+    /// it released into the engine.
     Ingest(Vec<Event>),
     /// Heartbeat the reorder buffer to `ts`, feeding what it releases.
     Heartbeat(Timestamp),
@@ -551,29 +550,45 @@ enum ShardJob {
 }
 
 impl Shard {
+    /// A shard around its buffer, engine and RNG, with both reorder tiers
+    /// and the release scratch pre-reserved — like `partition_buffers`,
+    /// leaving the high-water mark to workload noise would let a late
+    /// burst pay a realloc mid-ingest and break the zero-allocation gate.
+    /// `ready` receives everything one sub-batch releases (what was
+    /// pending plus the sub-batch itself after a watermark jump), hence
+    /// two sub-batches.
+    fn new(
+        mut buffer: ReorderBuffer,
+        engine: StreamingEngine,
+        rng: DpRng,
+        frontier: Timestamp,
+    ) -> Self {
+        buffer.reserve(SUB_BATCH);
+        Shard {
+            buffer,
+            engine,
+            rng,
+            frontier,
+            ready: Vec::with_capacity(2 * SUB_BATCH),
+        }
+    }
+
     /// Execute one job and build the reply: the releases it caused, the
     /// emptied ingest buffer (recycled by the partitioner), and a snapshot
     /// of the shard's observable stats — so the service thread can serve
     /// reads from mirrors without ever locking the shard mid-flight.
+    ///
+    /// An engine error is carried in the reply and surfaces, typed, on
+    /// the service's next fallible call. When an `Ingest` job fails that
+    /// way the **whole** sub-batch has already been offered to the
+    /// reorder buffer (events behind the failing one stay pending or
+    /// were dropped as late); the events released but not yet fed to the
+    /// engine are discarded, `ready` is left empty, and the recycled
+    /// buffer is still handed back.
     fn execute(&mut self, job: ShardJob) -> ShardReply {
         let mut releases = Vec::new();
         let mut recycled = None;
-        let error = match job {
-            ShardJob::Ingest(mut events) => {
-                let mut result = Ok(());
-                for event in events.drain(..) {
-                    self.buffer.push_into(event, &mut self.ready);
-                    if let Err(e) = self.drain_ready(&mut releases) {
-                        result = Err(e);
-                        break;
-                    }
-                }
-                events.clear();
-                recycled = Some(events);
-                result.err()
-            }
-            job => self.run(job, &mut releases).err(),
-        };
+        let error = self.run(job, &mut releases, &mut recycled).err();
         ShardReply {
             releases,
             recycled,
@@ -585,16 +600,25 @@ impl Shard {
         }
     }
 
-    /// Execute one non-ingest job against this shard's state, appending
-    /// the releases it causes to `out`.
-    fn run(&mut self, job: ShardJob, out: &mut Vec<WindowRelease>) -> Result<(), CoreError> {
+    /// Execute one job against this shard's state, appending the releases
+    /// it causes to `out`; an `Ingest` job's emptied buffer goes to
+    /// `recycled`.
+    fn run(
+        &mut self,
+        job: ShardJob,
+        out: &mut Vec<WindowRelease>,
+        recycled: &mut Option<Vec<Event>>,
+    ) -> Result<(), CoreError> {
         match job {
-            ShardJob::Ingest(events) => {
-                for event in events {
-                    self.buffer.push_into(event, &mut self.ready);
-                    self.drain_ready(out)?;
-                }
-                Ok(())
+            ShardJob::Ingest(mut events) => {
+                // one release can emit at most what is pending plus the
+                // sub-batch: size the scratch from that bound, so whether
+                // it ever grows does not hang on where the watermark lands
+                self.ready.reserve(self.buffer.pending() + events.len());
+                self.buffer
+                    .push_batch_into(events.drain(..), &mut self.ready);
+                *recycled = Some(events);
+                self.drain_ready(out)
             }
             ShardJob::Heartbeat(ts) => {
                 self.buffer.heartbeat_into(ts, &mut self.ready);
@@ -617,20 +641,13 @@ impl Shard {
     }
 
     /// Feed the events the reorder buffer just released into the engine,
-    /// reusing the `ready` scratch buffer.
+    /// leaving the `ready` scratch empty (also when the engine fails).
     fn drain_ready(&mut self, out: &mut Vec<WindowRelease>) -> Result<(), CoreError> {
-        let mut ready = std::mem::take(&mut self.ready);
-        let mut result = Ok(());
-        for event in ready.drain(..) {
+        for event in self.ready.drain(..) {
             self.frontier = self.frontier.max(event.ts);
-            if let Err(e) = self.engine.push_into(&event, &mut self.rng, out) {
-                result = Err(e);
-                break;
-            }
+            self.engine.push_into(&event, &mut self.rng, out)?;
         }
-        ready.clear();
-        self.ready = ready;
-        result
+        Ok(())
     }
 
     fn advance_engine(
@@ -2716,17 +2733,15 @@ impl ShardedService {
         }
         let mut shards = Vec::with_capacity(n_shards);
         for image in checkpoint.shards {
-            // same pre-reservation as the builder: a recovered service
-            // honors the zero-allocation steady-state contract immediately
-            let mut buffer = ReorderBuffer::restore(image.buffer);
-            buffer.reserve(SUB_BATCH);
-            shards.push(Arc::new(Mutex::new(Shard {
-                buffer,
-                engine: StreamingEngine::restore(image.engine)?,
-                rng: DpRng::from_state(image.rng),
-                frontier: image.frontier,
-                ready: Vec::with_capacity(SUB_BATCH),
-            })));
+            // `Shard::new` pre-reserves exactly as in the builder: a
+            // recovered service honors the zero-allocation steady-state
+            // contract immediately
+            shards.push(Arc::new(Mutex::new(Shard::new(
+                ReorderBuffer::restore(image.buffer),
+                StreamingEngine::restore(image.engine)?,
+                DpRng::from_state(image.rng),
+                image.frontier,
+            ))));
         }
         let mut meta: Vec<ShardMeta> = checkpoint
             .meta
@@ -3585,6 +3600,35 @@ mod tests {
                 acc
             });
         assert_eq!(w0.protected_any, per_shard_union);
+    }
+
+    #[test]
+    fn engine_error_inside_a_sub_batch_is_deferred_with_the_whole_sub_batch_offered() {
+        let mut svc = builder(1).build().unwrap();
+        let pool = svc.spare.len();
+        // put the engine ahead of the stream, so its next push fails
+        {
+            let mut guard = svc.shards[0].lock().unwrap();
+            let shard = &mut *guard;
+            let ahead = Timestamp::from_millis(1_000);
+            shard
+                .engine
+                .advance_watermark(ahead, &mut shard.rng)
+                .unwrap();
+        }
+        // 500 puts the watermark at 495: 10 and 20 are released to the
+        // engine (which refuses the first), 500 itself stays pending
+        svc.push_batch(vec![ke(1, 0, 10), ke(1, 1, 20), ke(1, 2, 500)])
+            .expect("inline jobs run at the next fold");
+        assert!(matches!(svc.sync(), Err(CoreError::Detection(_))));
+        let shard = svc.shards[0].lock().unwrap();
+        assert!(shard.ready.is_empty(), "unfed releases are discarded");
+        assert_eq!(
+            shard.buffer.pending(),
+            1,
+            "the event after the failure was offered"
+        );
+        assert_eq!(svc.spare.len(), pool, "the sub-batch buffer was recycled");
     }
 
     #[test]

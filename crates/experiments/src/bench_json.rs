@@ -31,8 +31,10 @@ use serde::{Deserialize, Serialize};
 const N_TYPES: usize = 32;
 const N_SUBJECTS: u64 = 256;
 const WINDOW: TimeDelta = TimeDelta::from_millis(100);
-const MAX_DELAY: TimeDelta = TimeDelta::from_millis(40);
-const BATCH: usize = 512;
+/// The bounded lateness of every bench service's reorder buffers.
+pub const MAX_DELAY: TimeDelta = TimeDelta::from_millis(40);
+/// Events per `push_batch` call in every cell but the `--latency` ones.
+pub const BATCH: usize = 512;
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
 
 /// Batch size of the `--latency` cells. Much smaller than the
@@ -673,6 +675,27 @@ pub fn measure_alloc(
     force_parallel: bool,
     n_batches: usize,
 ) -> Result<AllocCell, String> {
+    measure_alloc_over(
+        n_shards,
+        wal,
+        force_parallel,
+        arrivals(2 * n_batches * BATCH),
+    )
+}
+
+/// [`measure_alloc`] over a caller-built arrival sequence: the first half
+/// of `events` warms the service, the second half is measured, both in
+/// [`BATCH`]-event batches. Subjects must be below 256 and event types
+/// below 32 (the bench service's registered universe — anything else is
+/// a typed `UnknownSubject` error, not a silent skip), and the two halves
+/// should follow the same arrival law so the warmup reaches every
+/// high-water mark the measured half will touch.
+pub fn measure_alloc_over(
+    n_shards: usize,
+    wal: bool,
+    force_parallel: bool,
+    events: Vec<KeyedEvent>,
+) -> Result<AllocCell, String> {
     if !alloc_meter::is_installed() {
         return Err(
             "--alloc needs the counting allocator, which this process did not install \
@@ -681,12 +704,13 @@ pub fn measure_alloc(
                 .to_owned(),
         );
     }
-    let n_events = 2 * n_batches * BATCH;
-    // the jittered arrival law advances ~3 ms per event; the whole run
-    // (plus reorder slack) must fit inside the one open window
+    let n_batches = events.len() / (2 * BATCH);
+    // the whole run (plus reorder slack) must fit inside the one open
+    // window
+    let last = events.iter().map(|k| k.event.ts).max();
     assert!(
-        (n_events as i64) * 3 + MAX_DELAY.millis() < ALLOC_WINDOW.millis(),
-        "alloc workload must stay inside a single open window"
+        n_batches > 0 && last.is_some_and(|ts| ts + MAX_DELAY < Timestamp::ZERO + ALLOC_WINDOW),
+        "alloc workload must fill a batch per half and stay inside a single open window"
     );
     let mut svc = service_with_window(n_shards, ALLOC_WINDOW).map_err(|e| e.to_string())?;
     if force_parallel {
@@ -700,9 +724,11 @@ pub fn measure_alloc(
     }
     // pre-chunk both segments: the measured loop moves prebuilt batches,
     // it never clones slices
-    let events = arrivals(n_events);
-    let mut warmup: Vec<Vec<KeyedEvent>> =
-        events.chunks(BATCH).map(<[KeyedEvent]>::to_vec).collect();
+    let mut warmup: Vec<Vec<KeyedEvent>> = events
+        .chunks_exact(BATCH)
+        .take(2 * n_batches)
+        .map(<[KeyedEvent]>::to_vec)
+        .collect();
     let measured = warmup.split_off(n_batches);
     for batch in warmup {
         svc.push_batch(batch).map_err(|e| e.to_string())?;

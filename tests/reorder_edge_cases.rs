@@ -148,6 +148,54 @@ proptest! {
             prop_assert!(pair[0].ts <= pair[1].ts, "release order broken");
         }
     }
+
+    /// The batch law: any split of an arrival sequence into
+    /// `push_batch_into` calls releases exactly what pushing the events
+    /// one by one does, and leaves the buffer in the same state — late
+    /// drops, ties and displacements of hundreds of slots included.
+    #[test]
+    fn any_batch_split_equals_per_event_pushes(
+        arrivals in proptest::collection::vec((0i64..4, 0i64..400, 0u8..8), 1..500),
+        cuts in proptest::collection::vec(1usize..120, 1..40),
+        delay in 1i64..250,
+    ) {
+        let mut clock = 0;
+        let events: Vec<Event> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &(step, back, kind))| {
+                clock += step;
+                // mostly in order; a quarter late by up to 400 ms (beyond
+                // the delay → dropped, within it → displaced)
+                e(i as u32, if kind < 6 { clock } else { clock - back })
+            })
+            .collect();
+
+        let mut single = ReorderBuffer::new(TimeDelta::from_millis(delay));
+        let mut one_by_one = Vec::new();
+        for event in events.iter().cloned() {
+            single.push_into(event, &mut one_by_one);
+        }
+
+        let mut batched = ReorderBuffer::new(TimeDelta::from_millis(delay));
+        let mut in_batches = Vec::new();
+        let mut rest = events.as_slice();
+        for &cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at(cut.min(rest.len()));
+            let before = in_batches.len();
+            let n = batched.push_batch_into(batch.iter().cloned(), &mut in_batches);
+            prop_assert_eq!(n, in_batches.len() - before);
+            rest = tail;
+        }
+
+        prop_assert_eq!(&in_batches, &one_by_one);
+        prop_assert_eq!(batched.snapshot(), single.snapshot());
+        prop_assert_eq!(batched.watermark(), single.watermark());
+        prop_assert_eq!(batched.flush(), single.flush());
+    }
 }
 
 // ---------------------------------------------------------------------------
