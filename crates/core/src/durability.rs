@@ -1042,9 +1042,10 @@ impl ServiceCheckpoint {
     }
 }
 
-/// FNV-1a over the payload — a torn-write detector, not a security
-/// feature.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over `bytes` — a torn-write detector, not a security
+/// feature. The one checksum of the workspace: checkpoint and WAL frames
+/// here, network frames in `pdp-server`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -1444,6 +1445,13 @@ mod tests {
 
     fn t(i: u32) -> EventType {
         EventType(i)
+    }
+
+    #[test]
+    fn checksum_matches_the_published_fnv1a_64_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

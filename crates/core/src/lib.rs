@@ -75,7 +75,7 @@ pub use control::{
 pub use correlation::{find_correlates, lift, pattern_lift, widen_protection, Correlate};
 pub use distribution::BudgetDistribution;
 pub use durability::{
-    read_checkpoint, read_wal_from, recover_wal_prefix, replay_into, write_checkpoint,
+    fnv1a, read_checkpoint, read_wal_from, recover_wal_prefix, replay_into, write_checkpoint,
     MergeRowSnapshot, MergeSnapshot, ServiceCheckpoint, ShardCheckpoint, ShardMetaSnapshot,
     WalRecord, WalWriter,
 };

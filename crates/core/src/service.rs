@@ -3222,6 +3222,17 @@ mod tests {
     }
 
     #[test]
+    fn multi_shard_build_is_parallel_exactly_on_multi_core_hosts() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let svc = builder(4).build().unwrap();
+        assert_eq!(
+            svc.is_parallel(),
+            cores > 1,
+            "a 4-shard service on {cores} core(s) chose the wrong execution mode"
+        );
+    }
+
+    #[test]
     fn parallel_workers_match_inline_bit_for_bit() {
         // the same batches through the worker pool and the inline path
         // must produce identical releases, merges and ledgers

@@ -154,7 +154,7 @@ impl ReleaseSink for VecSink {
 }
 
 /// A sink that counts deliveries and drops them — the zero-cost consumer
-/// used to measure raw sink-path throughput (`bench-json --sink`) and a
+/// the repo benchmark's whole-service layer replays push into, and a
 /// template for streaming consumers that fold instead of collect.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingSink {

@@ -38,7 +38,7 @@
 //! the only allocating work left is building the released window's
 //! protected view, which happens exactly once per window close, never
 //! per event. The sharded service's CI-gated zero-allocation ingest
-//! measurement (`bench-json --alloc` under a counting global allocator)
+//! measurement (the `zero_alloc` test under a counting global allocator)
 //! bottoms out in this contract.
 //!
 //! [`FlipTable`]: crate::protect::FlipTable

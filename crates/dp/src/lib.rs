@@ -24,7 +24,6 @@ pub mod geometric;
 pub mod laplace;
 pub mod rng;
 pub mod rr;
-pub mod svt;
 
 pub use budget::{BudgetLedger, BudgetLedgerSnapshot, EpochLedger, EpochLedgerSnapshot, Epsilon};
 pub use composition::{Accountant, CompositionKind, SlidingWindowAccountant};
@@ -34,4 +33,3 @@ pub use geometric::TwoSidedGeometric;
 pub use laplace::Laplace;
 pub use rng::DpRng;
 pub use rr::{FlipProb, RandomizedResponse};
-pub use svt::SparseVector;

@@ -10,12 +10,11 @@
 //!
 //! The counters live in statics, but they only move when the wrapper is
 //! actually installed as the `#[global_allocator]` — which happens in
-//! the `experiments` binary and in the dedicated `zero_alloc`
-//! integration test, **not** in the library (unit-test binaries keep the
-//! system allocator, so library tests measure nothing and must not
-//! pretend to). [`is_installed`] probes for that difference at runtime:
-//! `bench-json --alloc` refuses to report zeros that merely mean "nobody
-//! was counting".
+//! the dedicated `zero_alloc` integration test, **not** in the library
+//! (unit-test binaries keep the system allocator, so library tests
+//! measure nothing and must not pretend to). [`is_installed`] probes for
+//! that difference at runtime, so the test can refuse zeros that merely
+//! mean "nobody was counting".
 //!
 //! Deallocations are deliberately not counted: the gate is about
 //! steady-state *acquisition* (a warmed service must not take new heap),
@@ -148,8 +147,8 @@ mod tests {
     #[test]
     fn probe_reports_uninstalled_in_library_tests() {
         // this test binary does not install the counting allocator, so
-        // the probe must say so — the property bench-json's self-audit
-        // relies on to reject meaningless zeros
+        // the probe must say so — the property the zero_alloc test's
+        // self-audit relies on to reject meaningless zeros
         assert!(!is_installed());
         assert_eq!(counters().allocs, 0, "nothing ever counted here");
     }

@@ -20,27 +20,20 @@
 //!   reproduces the streaming cells bit for bit; more shards measure the
 //!   quality cost of partitioned serving.
 //!
-//! * [`bench_json`] — the throughput runner behind
-//!   `experiments bench-json`: measures the sharded hot path (ingest
-//!   events/s, release windows/s at 1/4/8 shards) and writes
-//!   `BENCH_hotpath.json`, the repo's measured perf trajectory;
-//! * [`alloc_meter`] — the counting global allocator behind
-//!   `bench-json --alloc` and the `zero_alloc` regression test: turns
-//!   "steady-state ingest does not allocate" from a claim into a
-//!   measured, CI-gated number.
+//! * [`alloc_meter`] — the counting global allocator behind the
+//!   `zero_alloc` regression test: turns "steady-state ingest does not
+//!   allocate" from a claim into a measured, CI-gated number.
 //!
 //! The `experiments` binary drives everything and prints the tables
 //! recorded in EXPERIMENTS.md.
 
 pub mod ablations;
 pub mod alloc_meter;
-pub mod bench_json;
 pub mod fig4;
 pub mod runner;
 pub mod sharded;
 pub mod streaming;
 
-pub use bench_json::{run_bench_json, BenchJsonConfig, BenchReport};
 pub use fig4::{run_fig4, Fig4Config};
 pub use runner::{MechanismSpec, RunConfig, TrialOutcome};
 pub use sharded::{run_cell_sharded, run_fig4_sharded};

@@ -4,9 +4,6 @@
 //! experiments fig4 [--dataset taxi|synthetic|both] [--trials N] [--seed S] [--quick]
 //!                  [--streaming] [--sharded [--shards N]]
 //! experiments ablation <alpha|pattern-len|overlap|step-size|w-event|guarantee-levels|history|all>
-//! experiments bench-json [--smoke] [--churn] [--sink] [--scaling] [--durability] [--recovery]
-//!                        [--alloc] [--latency] [--out PATH]
-//!                        # hot-path throughput (+ allocation gate) → BENCH_hotpath.json
 //! experiments all            # everything, printed as markdown + saved as JSON
 //! ```
 //!
@@ -21,18 +18,10 @@ use std::env;
 use std::fs;
 
 use pdp_experiments::ablations::{self, AblationConfig};
-use pdp_experiments::alloc_meter::CountingAlloc;
-use pdp_experiments::bench_json::{run_bench_json, BenchJsonConfig};
 use pdp_experiments::fig4::{run_fig4, Dataset, Fig4Config};
 use pdp_experiments::sharded::run_fig4_sharded;
 use pdp_experiments::streaming::run_fig4_streaming;
 use pdp_metrics::{markdown_table, text_table};
-
-/// The counting allocator behind `bench-json --alloc`: two relaxed
-/// atomic adds per allocation, zero on the (allocation-free) hot path —
-/// cheap enough to leave installed for every command.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// How the Fig. 4 cells are served.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -54,97 +43,6 @@ fn main() {
             let which = args.get(1).map(String::as_str).unwrap_or("all");
             run_ablation_command(which, &parse_ablation(&args[2..]));
         }
-        "bench-json" | "--bench-json" => {
-            let config = parse_bench_json(&args[1..]);
-            match run_bench_json(&config) {
-                Ok(report) => {
-                    for cell in &report.ingest {
-                        println!(
-                            "ingest  {} shard(s): {:>12.0} events/s",
-                            cell.shards, cell.per_sec
-                        );
-                    }
-                    for cell in &report.release {
-                        println!(
-                            "release {} shard(s): {:>12.0} windows/s",
-                            cell.shards, cell.per_sec
-                        );
-                    }
-                    for cell in report.churn.iter().flatten() {
-                        println!(
-                            "churn   {} shard(s): {:>12.0} events/s (periodic epoch transitions)",
-                            cell.shards, cell.per_sec
-                        );
-                    }
-                    for cell in report.sink.iter().flatten() {
-                        println!(
-                            "sink    {} shard(s): {:>12.0} events/s (push_batch_into delivery)",
-                            cell.shards, cell.per_sec
-                        );
-                    }
-                    for cell in report.durability.iter().flatten() {
-                        println!(
-                            "wal-on  {} shard(s): {:>12.0} events/s (write-ahead log attached)",
-                            cell.shards, cell.per_sec
-                        );
-                    }
-                    for cell in report.alloc.iter().flatten() {
-                        println!(
-                            "alloc   {} shard(s), WAL {:>3}: {:.4} allocs/event, \
-                             {:.1} bytes/event ({} allocs over {} events, {})",
-                            cell.shards,
-                            if cell.wal { "on" } else { "off" },
-                            cell.allocs_per_event,
-                            cell.bytes_per_event,
-                            cell.allocs,
-                            cell.events,
-                            if cell.parallel { "parallel" } else { "inline" }
-                        );
-                    }
-                    for cell in report.latency.iter().flatten() {
-                        println!(
-                            "latency {} shard(s): ingest-ack p50 {:>7.1} µs  p99 {:>7.1} µs  \
-                             p999 {:>7.1} µs | delivery p50 {:>7.1} µs  p99 {:>7.1} µs  \
-                             p999 {:>7.1} µs ({} acks, {} deliveries, {})",
-                            cell.shards,
-                            cell.ingest_ack_p50_ns as f64 / 1e3,
-                            cell.ingest_ack_p99_ns as f64 / 1e3,
-                            cell.ingest_ack_p999_ns as f64 / 1e3,
-                            cell.delivery_p50_ns as f64 / 1e3,
-                            cell.delivery_p99_ns as f64 / 1e3,
-                            cell.delivery_p999_ns as f64 / 1e3,
-                            cell.samples,
-                            cell.deliveries,
-                            if cell.parallel { "parallel" } else { "inline" }
-                        );
-                    }
-                    if let Some(recovery) = &report.recovery {
-                        for cell in &recovery.heal {
-                            println!(
-                                "heal    {} shard(s): {:>10.2} ms to heal ({} WAL records replayed)",
-                                cell.shards, cell.heal_ms, cell.wal_tail_records
-                            );
-                        }
-                        println!(
-                            "wal-retry overhead: {:+.2} ms over {} retried appends (clean {:.2} ms)",
-                            recovery.ingest_retried_ms - recovery.ingest_clean_ms,
-                            recovery.wal_retries,
-                            recovery.ingest_clean_ms
-                        );
-                    }
-                    if let Some(scaling) = &report.scaling {
-                        println!(
-                            "scaling 8/1 ratio {:.2} on {} core(s), parallel per cell: {:?}",
-                            scaling.ratio_8_over_1, scaling.cores_detected, scaling.parallel
-                        );
-                    }
-                }
-                Err(e) => {
-                    eprintln!("bench-json failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
         "all" => {
             let (_, config) = parse_fig4(&args[1..]);
             run_fig4_command("both", &config, serve_mode(&args[1..]));
@@ -152,7 +50,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown command '{other}'");
-            eprintln!("usage: experiments <fig4|ablation|bench-json|all> [options]");
+            eprintln!("usage: experiments <fig4|ablation|all> [options]");
             std::process::exit(2);
         }
     }
@@ -223,27 +121,6 @@ fn serve_mode(args: &[String]) -> ServeMode {
     } else {
         ServeMode::Batch
     }
-}
-
-fn parse_bench_json(args: &[String]) -> BenchJsonConfig {
-    let mut config = if args.iter().any(|a| a == "--smoke") {
-        BenchJsonConfig::smoke()
-    } else {
-        BenchJsonConfig::full()
-    };
-    config.churn = args.iter().any(|a| a == "--churn");
-    config.sink = args.iter().any(|a| a == "--sink");
-    config.scaling = args.iter().any(|a| a == "--scaling");
-    config.durability = args.iter().any(|a| a == "--durability");
-    config.recovery = args.iter().any(|a| a == "--recovery");
-    config.alloc = args.iter().any(|a| a == "--alloc");
-    config.latency = args.iter().any(|a| a == "--latency");
-    if let Some(i) = args.iter().position(|a| a == "--out") {
-        if let Some(path) = args.get(i + 1) {
-            config.out = path.clone();
-        }
-    }
-    config
 }
 
 fn parse_ablation(args: &[String]) -> AblationConfig {

@@ -16,8 +16,7 @@
 //! nothing: [`LatencyHistogram::quantile`] returns the upper bound of
 //! the bucket containing the requested rank, so reported percentiles are
 //! conservative (never under-state the tail) and monotone in `q` by
-//! construction — the property `bench-json` gates on
-//! (p50 ≤ p99 ≤ p999).
+//! construction (p50 ≤ p99 ≤ p999; pinned by `quantiles_are_monotone`).
 
 /// Linear sub-bucket resolution: each power-of-two octave is split into
 /// `2^SUB_BITS` equal sub-buckets, bounding the relative quantization

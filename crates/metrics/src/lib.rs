@@ -10,8 +10,8 @@
 //! 95 % CI) for the experiment harness, the sealed [`TrustedAudit`]
 //! view that quality metering opens (with an explicit [`AuditKey`]) to
 //! read a release's raw pre-protection detections, and the HDR-style
-//! log-bucketed [`LatencyHistogram`] the service edge and `bench-json
-//! --latency` record tail percentiles with.
+//! log-bucketed [`LatencyHistogram`] the service edge and the repo
+//! benchmark record tail percentiles with.
 
 pub mod audit;
 pub mod confusion;

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! [ body_len : u32 le ][ body : body_len bytes ][ fnv1a(body) : u64 le ]
-//! body = [ version : u8 = 1 ][ kind : u8 ][ payload ]
+//! body = [ version : u8 = 2 ][ kind : u8 ][ payload ]
 //! ```
 //!
 //! `body_len` is bounded by [`MAX_FRAME`]; a longer announcement is a
@@ -32,27 +32,16 @@ use crate::wire::{NetWire, WireReader, WireWriter};
 /// Protocol version spoken by this build. A peer announcing any other
 /// version is rejected with [`FrameError::BadVersion`] on its first
 /// frame.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on one frame body. Large enough for a multi-thousand
 /// event batch, small enough that a corrupted length cannot commit the
 /// reader to a giant allocation.
 pub const MAX_FRAME: u32 = 1 << 24;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1_0000_0000_01b3;
-
-/// FNV-1a over `bytes` — the same checksum the durability layer frames
-/// with, computed independently here so the network protocol does not
-/// couple to checkpoint internals.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+/// The envelope checksum: standard FNV-1a 64, the same function the
+/// durability layer frames checkpoints and WAL records with.
+pub use pdp_core::fnv1a;
 
 /// Every way a frame can fail to decode (or a connection fail to carry
 /// one). All variants are recoverable by the server: a malformed frame
@@ -1031,14 +1020,14 @@ mod tests {
     #[test]
     fn version_mismatch_is_typed() {
         let mut bytes = Frame::Health.encode();
-        bytes[4] = 2; // the version byte is the first body byte
+        bytes[4] = 1; // the version byte is the first body byte
                       // fix up the checksum so only the version is wrong
         let body_len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
         let sum = fnv1a(&bytes[4..4 + body_len]);
         let sum_at = 4 + body_len;
         bytes[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
         let mut cursor = &bytes[..];
-        assert_eq!(read_frame(&mut cursor), Err(FrameError::BadVersion(2)));
+        assert_eq!(read_frame(&mut cursor), Err(FrameError::BadVersion(1)));
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //!
 //! ```text
 //! [ body_len : u32 le ][ body ][ fnv1a(body) : u64 le ]
-//! body = [ version : u8 = 1 ][ kind : u8 ][ payload ]
+//! body = [ version : u8 = 2 ][ kind : u8 ][ payload ]
 //! ```
 //!
-//! with `body_len ≤ 16 MiB` ([`frame::MAX_FRAME`]). Payload fields use
+//! with `body_len ≤ 16 MiB` ([`frame::MAX_FRAME`]) and `fnv1a` the
+//! standard FNV-1a 64 (offset basis `cbf29ce484222325`, prime
+//! `100000001b3`; `fnv1a("a")` = `af63dc4c8601ec8c`). Payload fields use
 //! the little-endian, length-prefixed encoding of [`wire`]. Any decode
 //! failure is a typed [`frame::FrameError`]; the server answers
 //! `Error(BadFrame)` and closes that connection — other connections and

@@ -257,23 +257,45 @@ fn duplicate_and_reordered_sequence_numbers_are_rejected_connection_survives() {
 #[test]
 fn version_mismatch_is_rejected() {
     let service = with_hostile(|addr| {
-        let mut evil = Client::connect(addr, "evil").unwrap();
-        // a Health frame with a bumped version byte and a fixed-up checksum
-        let mut bytes = Frame::Health.encode();
-        bytes[4] = PROTOCOL_VERSION + 1;
-        let body_len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-        let sum = fnv1a(&bytes[4..4 + body_len]);
-        bytes[4 + body_len..4 + body_len + 8].copy_from_slice(&sum.to_le_bytes());
-        evil.send_bytes(&bytes).unwrap();
-        match evil.read_raw() {
-            Ok(Frame::Error { code, message, .. }) => {
-                assert_eq!(code, ErrorCode::BadFrame);
-                assert!(message.contains("version"), "message: {message}");
+        let v1_batch = || Frame::PushBatch {
+            seq: 1,
+            events: clean_batch(4),
+        };
+        let fnv1a: fn(&[u8]) -> u64 = fnv1a;
+        // a frame with a foreign version byte and a fixed-up checksum; and
+        // a protocol-v1 peer, whose batch is rejected whole: on the
+        // checksum (v1 framed with a non-standard FNV prime), and still on
+        // the version byte had it hashed the body today's way
+        for (frame, version, sum, why) in [
+            (Frame::Health, PROTOCOL_VERSION + 1, fnv1a, "version"),
+            (v1_batch(), 1, v1_checksum, "checksum"),
+            (v1_batch(), 1, fnv1a, "version"),
+        ] {
+            let mut evil = Client::connect(addr, "evil").unwrap();
+            let mut bytes = frame.encode();
+            bytes[4] = version;
+            let body_len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+            let sum = sum(&bytes[4..4 + body_len]);
+            bytes[4 + body_len..4 + body_len + 8].copy_from_slice(&sum.to_le_bytes());
+            evil.send_bytes(&bytes).unwrap();
+            match evil.read_raw() {
+                Ok(Frame::Error { code, message, .. }) => {
+                    assert_eq!(code, ErrorCode::BadFrame);
+                    assert!(message.contains(why), "message: {message}");
+                }
+                other => panic!("expected a {why} rejection, got {other:?}"),
             }
-            other => panic!("expected a version rejection, got {other:?}"),
         }
     });
-    assert_eq!(service.events_ingested(), 64);
+    assert_eq!(service.events_ingested(), 64, "no v1 event may be ingested");
+}
+
+/// The envelope hash protocol v1 shipped with: FNV-1a's loop around
+/// 2^48 + 0x1b3 where the standard 64-bit prime is 2^40 + 0x1b3.
+fn v1_checksum(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3)
+    })
 }
 
 #[test]

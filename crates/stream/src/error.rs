@@ -18,8 +18,6 @@ pub enum StreamError {
     InvalidWindow(String),
     /// An event failed schema validation.
     SchemaViolation(String),
-    /// A serialized stream could not be decoded.
-    Codec(String),
 }
 
 impl fmt::Display for StreamError {
@@ -34,7 +32,6 @@ impl fmt::Display for StreamError {
             ),
             StreamError::InvalidWindow(msg) => write!(f, "invalid window: {msg}"),
             StreamError::SchemaViolation(msg) => write!(f, "schema violation: {msg}"),
-            StreamError::Codec(msg) => write!(f, "codec error: {msg}"),
         }
     }
 }
@@ -63,6 +60,6 @@ mod tests {
     #[test]
     fn error_trait_is_implemented() {
         fn takes_err<E: std::error::Error>(_: E) {}
-        takes_err(StreamError::Codec("x".into()));
+        takes_err(StreamError::SchemaViolation("x".into()));
     }
 }

@@ -20,7 +20,6 @@
 //! [`window`] (tumbling/sliding/count windows) and [`indicator`] (per-window
 //! presence vectors).
 
-pub mod codec;
 pub mod error;
 pub mod event;
 pub mod indicator;

@@ -57,9 +57,8 @@
 //! `SHIFT_LIMIT` trades the tiers: larger keeps more jitter out of the
 //! heap but lengthens the scan and the `memmove` of an insert. At 64
 //! slots (3 KiB of entries) an insert stays cheaper than a heap round
-//! trip and in-bound sensor jitter never reaches the heap; the `reorder`
-//! group of `crates/bench/benches/hotpath.rs` measures four arrival
-//! orders, the worst case among them.
+//! trip and in-bound sensor jitter never reaches the heap; the repo
+//! benchmark's `stream.reorder.ns_per_event` layer metric measures it.
 
 use std::collections::{BinaryHeap, VecDeque};
 
