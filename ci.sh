@@ -36,6 +36,13 @@ if [[ "$fast" == 0 ]]; then
   # debug_assert-gated paths the dev profile hides)
   echo "==> cargo test --release"
   cargo test --release -q
+
+  # every example asserts its own invariants; clippy only compiles them
+  echo "==> examples"
+  for example in adaptive_tuning correlation_discovery quickstart sharded_service \
+    smart_home streaming_pipeline taxi_fleet; do
+    cargo run --release -q --example "$example" >/dev/null
+  done
 fi
 
 # The repo benchmark's own checks (its package is a separate workspace,

@@ -89,7 +89,7 @@ pub use neighbors::{
     in_pattern_neighbors, indicator_neighbors, is_in_pattern_neighbor, is_indicator_neighbor,
 };
 pub use protect::{FlipPlan, FlipTable, Mechanism, PipelineSnapshot, ProtectionPipeline};
-pub use quality_model::{expected_quality, QualityModel};
+pub use quality_model::QualityModel;
 pub use service::{
     BatchOutput, EpochTransition, KeyedEvent, MergedRelease, RouteTable, ServiceBuilder,
     ServiceConfig, ShardRelease, ShardedService, SubjectId,

@@ -12,12 +12,10 @@
 //!   private patterns, target patterns) every mechanism and experiment
 //!   consumes.
 
-pub mod io;
 pub mod synthetic;
 pub mod taxi;
 pub mod workload;
 
-pub use io::{load_workload, save_workload, workload_from_json, workload_to_json};
 pub use synthetic::{SyntheticConfig, SyntheticDataset};
 pub use taxi::{TaxiConfig, TaxiDataset};
 pub use workload::Workload;

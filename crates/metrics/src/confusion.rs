@@ -114,14 +114,20 @@ impl FractionalConfusion {
     /// Record one window: the truth flag and the probability the mechanism
     /// reports a detection.
     pub fn record(&mut self, truth: bool, detect_prob: f64) {
+        self.record_n(truth, detect_prob, 1.0);
+    }
+
+    /// Record `n` windows that share one truth flag and one detection
+    /// probability, as a single weighted update.
+    pub fn record_n(&mut self, truth: bool, detect_prob: f64, n: f64) {
         debug_assert!((0.0..=1.0 + 1e-9).contains(&detect_prob));
         let p = detect_prob.clamp(0.0, 1.0);
         if truth {
-            self.tp += p;
-            self.fn_ += 1.0 - p;
+            self.tp += n * p;
+            self.fn_ += n * (1.0 - p);
         } else {
-            self.fp += p;
-            self.tn += 1.0 - p;
+            self.fp += n * p;
+            self.tn += n * (1.0 - p);
         }
     }
 
@@ -234,6 +240,21 @@ mod tests {
         assert!((soft.recall() - hard.recall()).abs() < 1e-12);
         let conv = hard.to_fractional();
         assert!((conv.tp - soft.tp).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_records() {
+        let mut once = FractionalConfusion::new();
+        once.record_n(true, 0.5, 3.0);
+        once.record_n(false, 0.25, 2.0);
+        let mut each = FractionalConfusion::new();
+        for _ in 0..3 {
+            each.record(true, 0.5);
+        }
+        for _ in 0..2 {
+            each.record(false, 0.25);
+        }
+        assert_eq!(once, each);
     }
 
     #[test]

@@ -10,17 +10,24 @@
 //! The crash is taken mid-pipeline (a round still in flight) and the WAL
 //! tail spans a full epoch transition, so recovery re-derives staged
 //! commands, the transition, a watermark heartbeat and two batches.
+//!
+//! The schedule runs under the uniform PPM and again under the adaptive
+//! one, where every transition re-runs Algorithm 1 — the one in the WAL
+//! tail on the sliding history replay rebuilds.
 
 use std::path::PathBuf;
 
 use pattern_dp_repro::cep::{Pattern, PatternId, QueryId};
 use pattern_dp_repro::core::{
-    read_checkpoint, write_checkpoint, KeyedEvent, PpmKind, ServiceBuilder, ServiceConfig,
-    ShardedService, StreamingConfig, SubjectId, VecSink, WalWriter,
+    read_checkpoint, write_checkpoint, AdaptiveConfig, BudgetDistribution, EpochTransition,
+    KeyedEvent, PpmKind, ServiceBuilder, ServiceConfig, ShardedService, StreamingConfig, SubjectId,
+    VecSink, WalWriter,
 };
 use pattern_dp_repro::dp::Epsilon;
 use pattern_dp_repro::metrics::Alpha;
-use pattern_dp_repro::stream::{Event, EventType, TimeDelta, Timestamp};
+use pattern_dp_repro::stream::{
+    Event, EventType, IndicatorVector, TimeDelta, Timestamp, WindowedIndicators,
+};
 
 fn t(i: u32) -> EventType {
     EventType(i)
@@ -33,13 +40,19 @@ fn ke(subject: u64, ty: u32, ms: i64) -> KeyedEvent {
     )
 }
 
-fn config(n_shards: usize) -> ServiceConfig {
+fn config(n_shards: usize, adaptive: bool) -> ServiceConfig {
+    let eps = Epsilon::new(1.0).unwrap();
     ServiceConfig {
         n_shards,
         n_types: 5,
         alpha: Alpha::HALF,
-        ppm: PpmKind::Uniform {
-            eps: Epsilon::new(1.0).unwrap(),
+        ppm: if adaptive {
+            PpmKind::Adaptive {
+                eps,
+                config: AdaptiveConfig::default(),
+            }
+        } else {
+            PpmKind::Uniform { eps }
         },
         streaming: StreamingConfig::tumbling(TimeDelta::from_millis(10)),
         max_delay: TimeDelta::from_millis(5),
@@ -48,13 +61,45 @@ fn config(n_shards: usize) -> ServiceConfig {
     }
 }
 
-fn builder(n_shards: usize) -> ServiceBuilder {
-    let mut b = ServiceBuilder::new(config(n_shards)).unwrap();
+fn builder(n_shards: usize, adaptive: bool) -> ServiceBuilder {
+    let mut b = ServiceBuilder::new(config(n_shards, adaptive)).unwrap();
     b.register_private_pattern(SubjectId(1), Pattern::seq("p1", vec![t(0), t(1)]).unwrap());
     b.register_private_pattern(SubjectId(2), Pattern::single("p2", t(3)));
     b.register_subject(SubjectId(3));
     b.register_target_query("t2?", Pattern::single("t2", t(2)));
+    if adaptive {
+        // a target on p1's type 0, in a history where it rides on type 0
+        // and p1's other type 1 is rare: Algorithm 1 moves p1's budget
+        b.register_target_query("t02?", Pattern::seq("t02", vec![t(0), t(2)]).unwrap());
+        b.provide_history(skewed_history());
+    }
     b
+}
+
+fn skewed_history() -> WindowedIndicators {
+    let windows = (0..40)
+        .map(|k| {
+            let mut present = Vec::new();
+            if k % 2 == 0 {
+                present.extend([t(0), t(2)]);
+            }
+            if k % 5 == 0 {
+                present.push(t(1));
+            }
+            IndicatorVector::from_present(present, 5)
+        })
+        .collect();
+    WindowedIndicators::new(windows)
+}
+
+/// The distribution a transition's plan gives p1 (pattern 0).
+fn p1_distribution(transition: &EpochTransition) -> BudgetDistribution {
+    let assignments = transition.plan.core.pipeline().assignments();
+    let (_, dist) = assignments
+        .iter()
+        .find(|(id, _)| *id == PatternId(0))
+        .expect("p1 is active");
+    dist.clone()
 }
 
 /// Unique per-test scratch directory (the suite runs tests in parallel).
@@ -87,8 +132,12 @@ fn b6() -> Vec<KeyedEvent> {
 }
 
 /// Phase 1 (pre-checkpoint): two batches, then a full epoch transition
-/// (new query + new tenant), then a third batch under epoch 1.
-fn run_phase1<S: pattern_dp_repro::core::ReleaseSink>(svc: &mut ShardedService, sink: &mut S) {
+/// (new query + new tenant), then a third batch under epoch 1. Returns
+/// p1's distribution in epoch 1.
+fn run_phase1<S: pattern_dp_repro::core::ReleaseSink>(
+    svc: &mut ShardedService,
+    sink: &mut S,
+) -> BudgetDistribution {
     svc.push_batch_into(b1(), sink).unwrap();
     svc.push_batch_into(b2(), sink).unwrap();
     svc.add_consumer_query("t4?", Pattern::single("t4", t(4)));
@@ -96,13 +145,17 @@ fn run_phase1<S: pattern_dp_repro::core::ReleaseSink>(svc: &mut ShardedService, 
     let transition = svc.begin_epoch().unwrap().expect("churn staged");
     assert_eq!(transition.plan.epoch, 1);
     svc.push_batch_into(b3(), sink).unwrap();
+    p1_distribution(&transition)
 }
 
 /// Phase 2 (post-checkpoint — the part a crash must not lose): a batch,
 /// a second epoch transition, a heartbeat, and a final batch. In the
 /// crashed run everything here lands in the WAL tail and is re-derived
-/// by replay.
-fn run_phase2<S: pattern_dp_repro::core::ReleaseSink>(svc: &mut ShardedService, sink: &mut S) {
+/// by replay. Returns p1's distribution in epoch 2.
+fn run_phase2<S: pattern_dp_repro::core::ReleaseSink>(
+    svc: &mut ShardedService,
+    sink: &mut S,
+) -> BudgetDistribution {
     svc.push_batch_into(b4(), sink).unwrap();
     svc.register_private_pattern(SubjectId(9), Pattern::single("p9", t(4)));
     let transition = svc.begin_epoch().unwrap().expect("churn staged");
@@ -110,6 +163,7 @@ fn run_phase2<S: pattern_dp_repro::core::ReleaseSink>(svc: &mut ShardedService, 
     svc.advance_watermark_into(Timestamp::from_millis(130), sink)
         .unwrap();
     svc.push_batch_into(b5(), sink).unwrap();
+    p1_distribution(&transition)
 }
 
 /// Phase 3 (post-recovery continuation): one more batch and the finish.
@@ -132,26 +186,38 @@ fn spends(svc: &mut ShardedService) -> Vec<(u64, u32, Option<Epsilon>)> {
     out
 }
 
-/// The anchor, parameterized over the execution mode.
-fn crash_recovery_is_bit_for_bit(parallel: bool, tag: &str) {
+/// The anchor, parameterized over the execution mode and the PPM.
+fn crash_recovery_is_bit_for_bit(parallel: bool, adaptive: bool, tag: &str) {
     let dir = scratch(tag);
     let wal_path = dir.join("service.wal");
     let ckpt_path = dir.join("service.ckpt");
 
     // --- run A: uninterrupted, no durability ---
-    let mut a = builder(3).build().unwrap();
+    let mut a = builder(3, adaptive).build().unwrap();
     a.set_parallel(parallel);
     let mut sink_a = VecSink::all();
-    run_phase1(&mut a, &mut sink_a);
-    run_phase2(&mut a, &mut sink_a);
+    let epoch1 = run_phase1(&mut a, &mut sink_a);
+    let epoch2 = run_phase2(&mut a, &mut sink_a);
     run_phase3(&mut a, &mut sink_a);
+    let uniform = BudgetDistribution::uniform(Epsilon::new(1.0).unwrap(), 2).unwrap();
+    for dist in [&epoch1, &epoch2] {
+        if adaptive {
+            // Algorithm 1 moved budget toward the target's type 0
+            assert!(
+                dist.shares()[0].value() > dist.shares()[1].value() + 1e-6,
+                "expected a non-uniform p1: {dist:?}"
+            );
+        } else {
+            assert_eq!(dist, &uniform);
+        }
+    }
 
     // --- run B: WAL on, checkpoint after phase 1, killed mid-phase 2 ---
-    let mut b = builder(3).build().unwrap();
+    let mut b = builder(3, adaptive).build().unwrap();
     b.set_parallel(parallel);
     b.attach_wal(WalWriter::create(&wal_path).unwrap());
     let mut sink_b1 = VecSink::all();
-    run_phase1(&mut b, &mut sink_b1);
+    assert_eq!(run_phase1(&mut b, &mut sink_b1), epoch1);
     let checkpoint = b.checkpoint_into(&mut sink_b1).unwrap();
     assert!(checkpoint.wal_offset > 0, "the phase-1 records are logged");
     // the image survives its own file format round trip
@@ -163,7 +229,7 @@ fn crash_recovery_is_bit_for_bit(parallel: bool, tag: &str) {
     // batch's round is still in flight when the service drops
     {
         let mut crash_sink = VecSink::all();
-        run_phase2(&mut b, &mut crash_sink);
+        assert_eq!(run_phase2(&mut b, &mut crash_sink), epoch2);
         drop(b); // the kill — in-flight work, outbox and sink all vanish
     }
 
@@ -171,10 +237,11 @@ fn crash_recovery_is_bit_for_bit(parallel: bool, tag: &str) {
     let mut sink_b2 = VecSink::all();
     let recovered = read_checkpoint(&ckpt_path).unwrap();
     let mut b =
-        ShardedService::recover_into(config(3), recovered, &wal_path, &mut sink_b2).unwrap();
+        ShardedService::recover_into(config(3, adaptive), recovered, &wal_path, &mut sink_b2)
+            .unwrap();
     assert_eq!(
         b.is_parallel(),
-        parallel && config(3).n_shards > 1,
+        parallel && config(3, adaptive).n_shards > 1,
         "recovery restores the recorded execution mode"
     );
     run_phase3(&mut b, &mut sink_b2);
@@ -217,24 +284,34 @@ fn crash_recovery_is_bit_for_bit(parallel: bool, tag: &str) {
 
 #[test]
 fn crash_recovery_is_bit_for_bit_inline() {
-    crash_recovery_is_bit_for_bit(false, "inline");
+    crash_recovery_is_bit_for_bit(false, false, "inline");
 }
 
 #[test]
 fn crash_recovery_is_bit_for_bit_parallel() {
-    crash_recovery_is_bit_for_bit(true, "parallel");
+    crash_recovery_is_bit_for_bit(true, false, "parallel");
+}
+
+#[test]
+fn crash_recovery_is_bit_for_bit_adaptive_inline() {
+    crash_recovery_is_bit_for_bit(false, true, "adaptive-inline");
+}
+
+#[test]
+fn crash_recovery_is_bit_for_bit_adaptive_parallel() {
+    crash_recovery_is_bit_for_bit(true, true, "adaptive-parallel");
 }
 
 /// Restoring a plain checkpoint (no WAL) equals cloning: the restored
 /// service continues bit-for-bit from the image.
 #[test]
 fn checkpoint_restore_continues_identically() {
-    let mut original = builder(2).build().unwrap();
+    let mut original = builder(2, false).build().unwrap();
     let mut sink = VecSink::all();
     original.push_batch_into(b1(), &mut sink).unwrap();
     original.push_batch_into(b2(), &mut sink).unwrap();
     let (checkpoint, _drained) = original.checkpoint().unwrap();
-    let mut restored = ShardedService::restore(config(2), checkpoint).unwrap();
+    let mut restored = ShardedService::restore(config(2, false), checkpoint).unwrap();
 
     let out_a = original
         .advance_watermark(Timestamp::from_millis(70))
@@ -251,9 +328,9 @@ fn checkpoint_restore_continues_identically() {
 /// error, not a silent misroute.
 #[test]
 fn restore_rejects_shard_count_mismatch() {
-    let mut svc = builder(2).build().unwrap();
+    let mut svc = builder(2, false).build().unwrap();
     let (checkpoint, _) = svc.checkpoint().unwrap();
-    let err = ShardedService::restore(config(3), checkpoint).unwrap_err();
+    let err = ShardedService::restore(config(3, false), checkpoint).unwrap_err();
     assert!(matches!(
         err,
         pattern_dp_repro::core::CoreError::Durability(_)
@@ -266,7 +343,7 @@ fn restore_rejects_shard_count_mismatch() {
 fn rejected_commands_replay_harmlessly() {
     let dir = scratch("rejected-commands");
     let wal_path = dir.join("service.wal");
-    let mut svc = builder(1).build().unwrap();
+    let mut svc = builder(1, false).build().unwrap();
     svc.attach_wal(WalWriter::create(&wal_path).unwrap());
     let mut sink = VecSink::all();
     let (checkpoint, _) = svc.checkpoint().unwrap();
@@ -280,7 +357,7 @@ fn rejected_commands_replay_harmlessly() {
 
     let mut replay_sink = VecSink::all();
     let recovered =
-        ShardedService::recover_into(config(1), checkpoint, &wal_path, &mut replay_sink);
+        ShardedService::recover_into(config(1, false), checkpoint, &wal_path, &mut replay_sink);
     let mut recovered = recovered.expect("rejected command must not abort recovery");
     assert_eq!(recovered.events_ingested(), b1().len() as u64);
     assert_eq!(
