@@ -20,6 +20,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+# JSON only at the edge: the one crate that writes JSON (Fig. 4 results)
+# and the facade that re-exports it are all serde may reach; every byte
+# the service stores or sends goes through pdp_core::codec.
+echo "==> serde reaches only pdp-experiments"
+serde_users="$(cargo tree --offline -e normal -i serde --prefix none | cut -d' ' -f1 |
+  sort -u | grep -vx 'serde\|serde_json' | tr '\n' ' ')"
+[[ "$serde_users" == "pattern-dp-repro pdp-experiments " ]] ||
+  { echo "serde is reached by: $serde_users"; exit 1; }
+
 if [[ "$fast" == 0 ]]; then
   echo "==> cargo build --release"
   cargo build --release

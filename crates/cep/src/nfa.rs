@@ -7,10 +7,9 @@
 //! contiguous) subsequence of the window's events.
 
 use pdp_stream::EventType;
-use serde::{Deserialize, Serialize};
 
 /// A compiled linear NFA for one sequence pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nfa {
     /// The event type labelling the transition out of each state.
     steps: Vec<EventType>,

@@ -7,7 +7,6 @@
 //! ones are flattened to a single event sequence, as the paper prescribes:
 //! "any pattern can always be written in the form of a sequence of events".
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -16,10 +15,7 @@ use pdp_stream::EventType;
 use crate::error::CepError;
 
 /// Identifier of a registered pattern type.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PatternId(pub u32);
 
 impl fmt::Display for PatternId {
@@ -32,7 +28,7 @@ impl fmt::Display for PatternId {
 ///
 /// The same event type may appear more than once (e.g. "two GPS fixes in
 /// the same cell"), so elements form a sequence, not a set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pattern {
     elements: Vec<EventType>,
     name: String,
@@ -141,10 +137,9 @@ impl fmt::Display for Pattern {
 }
 
 /// A registry of pattern types with stable ids.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PatternSet {
     patterns: Vec<Pattern>,
-    #[serde(skip)]
     by_type: HashMap<EventType, Vec<PatternId>>,
 }
 
@@ -206,20 +201,6 @@ impl PatternSet {
             .iter()
             .flat_map(|p| p.distinct_types())
             .collect()
-    }
-
-    /// Rebuild the type index (needed after deserialization, which skips
-    /// the derived index).
-    pub fn reindex(&mut self) {
-        self.by_type.clear();
-        for (i, p) in self.patterns.iter().enumerate() {
-            for ty in p.distinct_types() {
-                self.by_type
-                    .entry(ty)
-                    .or_default()
-                    .push(PatternId(i as u32));
-            }
-        }
     }
 }
 
@@ -294,17 +275,6 @@ mod tests {
         assert_eq!(set.type_universe().len(), 3);
         assert_eq!(set.get(a).unwrap().name(), "a");
         assert!(set.get(PatternId(9)).is_none());
-    }
-
-    #[test]
-    fn reindex_restores_lookup() {
-        let mut set = PatternSet::new();
-        set.insert(Pattern::seq("a", vec![t(0)]).unwrap());
-        let json = serde_json::to_string(&set).unwrap();
-        let mut back: PatternSet = serde_json::from_str(&json).unwrap();
-        assert!(back.containing(t(0)).is_empty()); // index skipped by serde
-        back.reindex();
-        assert_eq!(back.containing(t(0)).len(), 1);
     }
 
     #[test]

@@ -5,17 +5,13 @@
 //! expression over registered pattern types, plus the detection
 //! [`Semantics`] to apply to each pattern.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::CepError;
 use crate::pattern::{PatternId, PatternSet};
 
 /// Identifier of a registered query.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct QueryId(pub u32);
 
 impl fmt::Display for QueryId {
@@ -25,7 +21,7 @@ impl fmt::Display for QueryId {
 }
 
 /// How a pattern is considered detected within a window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Semantics {
     /// Elements must appear in temporal order (general CEP `seq`).
     Ordered,
@@ -38,7 +34,7 @@ pub enum Semantics {
 }
 
 /// A boolean expression over pattern detections.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryExpr {
     /// The given pattern is detected in the window.
     Pattern(PatternId),
@@ -106,7 +102,7 @@ impl QueryExpr {
 }
 
 /// A registered binary continuous query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     /// Human-readable name.
     pub name: String,

@@ -43,8 +43,6 @@
 //!   distribution without scoring: every probe of it would score the same,
 //!   and the search stops at uniform.
 
-use serde::{Deserialize, Serialize};
-
 use pdp_cep::{Pattern, PatternId, PatternSet};
 use pdp_dp::{Epsilon, FlipProb};
 use pdp_stream::EventType;
@@ -55,7 +53,7 @@ use crate::protect::{FlipTable, ProtectionPipeline};
 use crate::quality_model::QualityModel;
 
 /// How a probe redistributes budget (Algorithm 1, line 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepRule {
     /// Exact conservation: others lose `δε/(m−1)`.
     #[default]
@@ -65,7 +63,7 @@ pub enum StepRule {
 }
 
 /// Tuning knobs for the adaptive optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Probe redistribution rule.
     pub step_rule: StepRule,

@@ -299,11 +299,8 @@ impl ControlPlane {
     }
 
     /// Rebuild a control plane from a snapshot plus the construction-time
-    /// config. The derived pattern-type index is reindexed, so snapshots
-    /// that crossed a serialization boundary restore correctly.
+    /// config.
     pub fn restore(config: ControlPlaneConfig, snapshot: ControlPlaneSnapshot) -> Self {
-        let mut patterns = snapshot.patterns;
-        patterns.reindex();
         // Rebuild the reverse intern table; the snapshot's dense indexes
         // must be a permutation of 0..len (the durability decoder enforces
         // this for images crossing a serialization boundary).
@@ -318,7 +315,7 @@ impl ControlPlane {
         }
         ControlPlane {
             config,
-            patterns,
+            patterns: snapshot.patterns,
             private_order: snapshot.private_order,
             revoked: snapshot.revoked,
             subjects: snapshot
@@ -981,7 +978,7 @@ mod tests {
             pa.core.pipeline().flip_table().probs(),
             pb.core.pipeline().flip_table().probs()
         );
-        // the reindexed registry still resolves type lookups
+        // the restored registry still resolves type lookups
         assert_eq!(restored.patterns().containing(t(3)).len(), 1);
         // subsequent ids continue the sequence identically
         let ia = cp.register_pattern(Pattern::single("z", t(0)));

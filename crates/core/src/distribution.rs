@@ -6,14 +6,12 @@
 //! adaptive distribution (Algorithm 1, in [`crate::adaptive`]) reshapes the
 //! shares using historical data.
 
-use serde::{Deserialize, Serialize};
-
 use pdp_dp::{Epsilon, FlipProb};
 
 use crate::error::CoreError;
 
 /// Per-element budget shares for one private pattern: `Σ shares = total`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetDistribution {
     total: Epsilon,
     shares: Vec<Epsilon>,

@@ -38,12 +38,8 @@
 //! sink deliveries, ledger spends and low watermark as one that never
 //! crashed.
 //!
-//! The wire format is a deliberately boring little-endian binary codec
-//! (length-prefixed, like [`pdp_stream`]'s framing): every `u64` travels
-//! at full precision (RNG state words and query-ring words use the whole
-//! range, which a float-backed JSON value model cannot carry), `f64`
-//! travels as raw bits, and collections are written in deterministic
-//! (sorted) order so equal states encode byte-identically.
+//! Both artifacts lay their fields out with the workspace's one byte
+//! codec ([`crate::codec`]); the magics below version them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -53,11 +49,11 @@ use pdp_cep::DetectorSnapshot;
 use pdp_cep::{Pattern, PatternId, PatternSet, QueryId, Semantics};
 use pdp_dp::{BudgetLedgerSnapshot, EpochLedgerSnapshot, Epsilon};
 use pdp_stream::{
-    AttrValue, Event, EventType, IndicatorVector, ReorderSnapshot, TimeDelta, Timestamp,
-    WindowedIndicators,
+    EventType, IndicatorVector, ReorderSnapshot, TimeDelta, Timestamp, WindowedIndicators,
 };
 
 use crate::answer::QuerySpec;
+use crate::codec::{ByteReader, ByteWriter, CodecError, Wire};
 use crate::control::{Command, ControlPlaneSnapshot};
 use crate::distribution::BudgetDistribution;
 use crate::error::CoreError;
@@ -82,9 +78,9 @@ const WAL_MAGIC_V1: &[u8; 8] = b"PDPWAL\x00\x01";
 /// Fixed per-frame overhead: `u32` length + `u64` sequence number before
 /// the payload, `u64` FNV-1a checksum after it.
 const WAL_FRAME_OVERHEAD: u64 = 4 + 8 + 8;
-/// Sanity bound on a single decoded length field (1 GiB) — a corrupt
-/// length must error, not attempt a huge allocation.
-const MAX_LEN: u64 = 1 << 30;
+/// Largest WAL record length a scan accepts (1 GiB): a frame announcing
+/// more is corruption, not a torn tail.
+const MAX_WAL_RECORD: u64 = 1 << 30;
 
 fn durability_err(msg: impl Into<String>) -> CoreError {
     CoreError::Durability(msg.into())
@@ -94,341 +90,26 @@ fn io_err(context: &str, e: std::io::Error) -> CoreError {
     CoreError::Durability(format!("{context}: {e}"))
 }
 
-// ---------------------------------------------------------------------------
-// The binary wire codec
-// ---------------------------------------------------------------------------
-
-/// Growable little-endian encode buffer.
-#[derive(Debug, Default)]
-struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-/// Bounds-checked decode cursor over an encoded payload.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| durability_err("truncated payload"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn finish(self) -> Result<(), CoreError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(durability_err(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
-/// One type's encoding on the durability wire. Implementations must be
-/// deterministic: equal values encode to equal bytes.
-trait Wire: Sized {
-    fn encode(&self, w: &mut ByteWriter);
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError>;
-}
-
-impl Wire for bool {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.buf.push(u8::from(*self));
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        match r.take(1)?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(durability_err(format!("invalid bool byte {b}"))),
-        }
-    }
-}
-
-impl Wire for u8 {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.buf.push(*self);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok(r.take(1)?[0])
-    }
-}
-
-impl Wire for u32 {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.buf.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok(u32::from_le_bytes(r.take(4)?.try_into().unwrap()))
-    }
-}
-
-impl Wire for u64 {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.buf.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok(u64::from_le_bytes(r.take(8)?.try_into().unwrap()))
-    }
-}
-
-impl Wire for i64 {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.buf.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok(i64::from_le_bytes(r.take(8)?.try_into().unwrap()))
-    }
-}
-
-impl Wire for usize {
-    fn encode(&self, w: &mut ByteWriter) {
-        (*self as u64).encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        let v = u64::decode(r)?;
-        if v > MAX_LEN {
-            return Err(durability_err(format!("implausible size {v}")));
-        }
-        Ok(v as usize)
-    }
-}
-
-impl Wire for f64 {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.to_bits().encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok(f64::from_bits(u64::decode(r)?))
-    }
-}
-
-impl Wire for String {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.len().encode(w);
-        w.buf.extend_from_slice(self.as_bytes());
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        let len = usize::decode(r)?;
-        String::from_utf8(r.take(len)?.to_vec()).map_err(|_| durability_err("invalid utf-8 string"))
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.len().encode(w);
-        for item in self {
-            item.encode(w);
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        let len = usize::decode(r)?;
-        let mut out = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            None => false.encode(w),
-            Some(v) => {
-                true.encode(w);
-                v.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok(if bool::decode(r)? {
-            Some(T::decode(r)?)
-        } else {
-            None
-        })
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok((A::decode(r)?, B::decode(r)?))
-    }
-}
-
-impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-        self.2.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
-
-impl<A: Wire, B: Wire, C: Wire, D: Wire> Wire for (A, B, C, D) {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-        self.2.encode(w);
-        self.3.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?, D::decode(r)?))
-    }
-}
-
-impl Wire for [u64; 4] {
-    fn encode(&self, w: &mut ByteWriter) {
-        for word in self {
-            word.encode(w);
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok([
-            u64::decode(r)?,
-            u64::decode(r)?,
-            u64::decode(r)?,
-            u64::decode(r)?,
-        ])
-    }
-}
-
-macro_rules! wire_newtype {
-    ($ty:ty, $inner:ty, $ctor:expr, $get:expr) => {
-        impl Wire for $ty {
-            fn encode(&self, w: &mut ByteWriter) {
-                $get(self).encode(w);
-            }
-            fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-                Ok($ctor(<$inner>::decode(r)?))
-            }
-        }
-    };
-}
-
-wire_newtype!(EventType, u32, EventType, |v: &EventType| v.0);
-wire_newtype!(PatternId, u32, PatternId, |v: &PatternId| v.0);
-wire_newtype!(QueryId, u32, QueryId, |v: &QueryId| v.0);
-wire_newtype!(SubjectId, u64, SubjectId, |v: &SubjectId| v.0);
-wire_newtype!(Timestamp, i64, Timestamp::from_millis, |v: &Timestamp| v
-    .millis());
-wire_newtype!(TimeDelta, i64, TimeDelta::from_millis, |v: &TimeDelta| v
-    .millis());
-
 impl Wire for Epsilon {
     fn encode(&self, w: &mut ByteWriter) {
         self.value().encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Epsilon::new(f64::decode(r)?).map_err(|e| durability_err(format!("invalid epsilon: {e}")))
-    }
-}
-
-impl Wire for AttrValue {
-    fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            AttrValue::Int(v) => {
-                0u8.encode(w);
-                v.encode(w);
-            }
-            AttrValue::Float(v) => {
-                1u8.encode(w);
-                v.encode(w);
-            }
-            AttrValue::Str(v) => {
-                2u8.encode(w);
-                v.encode(w);
-            }
-            AttrValue::Bool(v) => {
-                3u8.encode(w);
-                v.encode(w);
-            }
-            AttrValue::Location(x, y) => {
-                4u8.encode(w);
-                x.encode(w);
-                y.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok(match u8::decode(r)? {
-            0 => AttrValue::Int(i64::decode(r)?),
-            1 => AttrValue::Float(f64::decode(r)?),
-            2 => AttrValue::Str(String::decode(r)?),
-            3 => AttrValue::Bool(bool::decode(r)?),
-            4 => AttrValue::Location(f64::decode(r)?, f64::decode(r)?),
-            t => return Err(durability_err(format!("invalid attr tag {t}"))),
-        })
-    }
-}
-
-impl Wire for Event {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.ty.encode(w);
-        self.ts.encode(w);
-        self.attr_count().encode(w);
-        for (name, value) in self.attrs() {
-            name.to_owned().encode(w);
-            value.encode(w);
-        }
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        let ty = EventType::decode(r)?;
-        let ts = Timestamp::decode(r)?;
-        let mut event = Event::new(ty, ts);
-        let n = usize::decode(r)?;
-        for _ in 0..n {
-            let name = String::decode(r)?;
-            event.set_attr(&name, AttrValue::decode(r)?);
-        }
-        Ok(event)
-    }
-}
-
-impl Wire for IndicatorVector {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.n_types().encode(w);
-        let present: Vec<EventType> = self.present_types().collect();
-        present.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        let n_types = usize::decode(r)?;
-        let present = Vec::<EventType>::decode(r)?;
-        if present.iter().any(|t| t.index() >= n_types) {
-            return Err(durability_err("indicator bit outside its universe"));
-        }
-        Ok(IndicatorVector::from_present(present, n_types))
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Epsilon::new(f64::decode(r)?)
+            .map_err(|e| CodecError::Malformed(format!("invalid epsilon: {e}")))
     }
 }
 
 impl Wire for Pattern {
     fn encode(&self, w: &mut ByteWriter) {
-        self.name().to_owned().encode(w);
+        w.put_str(self.name());
         self.elements().to_vec().encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let name = String::decode(r)?;
         let elements = Vec::<EventType>::decode(r)?;
-        Pattern::seq(&name, elements).map_err(|e| durability_err(format!("invalid pattern: {e}")))
+        Pattern::seq(&name, elements)
+            .map_err(|e| CodecError::Malformed(format!("invalid pattern: {e}")))
     }
 }
 
@@ -439,8 +120,8 @@ impl Wire for PatternSet {
             pattern.encode(w);
         }
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        let len = usize::decode(r)?;
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let len = r.read_len()?;
         let mut set = PatternSet::new();
         for _ in 0..len {
             set.insert(Pattern::decode(r)?);
@@ -460,12 +141,12 @@ impl Wire for Semantics {
             }
         }
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match u8::decode(r)? {
             0 => Semantics::Ordered,
             1 => Semantics::Conjunction,
             2 => Semantics::OrderedWithin(TimeDelta::decode(r)?),
-            t => return Err(durability_err(format!("invalid semantics tag {t}"))),
+            t => return Err(CodecError::Malformed(format!("invalid semantics tag {t}"))),
         })
     }
 }
@@ -499,7 +180,7 @@ impl Wire for QuerySpec {
             }
         }
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match u8::decode(r)? {
             0 => QuerySpec::Pattern {
                 pattern: PatternId::decode(r)?,
@@ -517,7 +198,7 @@ impl Wire for QuerySpec {
                 horizon: usize::decode(r)?,
                 eps: Epsilon::decode(r)?,
             },
-            t => return Err(durability_err(format!("invalid query spec tag {t}"))),
+            t => return Err(CodecError::Malformed(format!("invalid query spec tag {t}"))),
         })
     }
 }
@@ -528,7 +209,7 @@ impl Wire for QueryRef {
         self.name.encode(w);
         self.spec.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(QueryRef {
             id: QueryId::decode(r)?,
             name: String::decode(r)?,
@@ -542,11 +223,11 @@ impl Wire for BudgetDistribution {
         self.total().encode(w);
         self.shares().to_vec().encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let total = Epsilon::decode(r)?;
         let shares = Vec::<Epsilon>::decode(r)?;
         BudgetDistribution::from_shares(total, shares)
-            .map_err(|e| durability_err(format!("invalid distribution: {e}")))
+            .map_err(|e| CodecError::Malformed(format!("invalid distribution: {e}")))
     }
 }
 
@@ -556,7 +237,7 @@ impl Wire for PipelineSnapshot {
         self.probs.encode(w);
         self.assignments.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(PipelineSnapshot {
             label: String::decode(r)?,
             probs: Vec::decode(r)?,
@@ -572,7 +253,7 @@ impl Wire for OnlineCoreSnapshot {
         self.queries.encode(w);
         self.epoch.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(OnlineCoreSnapshot {
             pipeline: PipelineSnapshot::decode(r)?,
             patterns: PatternSet::decode(r)?,
@@ -587,7 +268,7 @@ impl<K: Wire> Wire for BudgetLedgerSnapshot<K> {
         self.limit.encode(w);
         self.spent.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(BudgetLedgerSnapshot {
             limit: Option::decode(r)?,
             spent: Vec::decode(r)?,
@@ -601,7 +282,7 @@ impl<K: Wire> Wire for EpochLedgerSnapshot<K> {
         self.retired_from.encode(w);
         self.per_epoch.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(EpochLedgerSnapshot {
             caps: Vec::decode(r)?,
             retired_from: Vec::decode(r)?,
@@ -624,12 +305,12 @@ impl Wire for DetectorSnapshot {
         self.last_ts.encode(w);
         self.pending.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(DetectorSnapshot {
             patterns: PatternSet::decode(r)?,
             semantics: Semantics::decode(r)?,
             window_len: TimeDelta::decode(r)?,
-            n_types: usize::decode(r)?,
+            n_types: r.read_universe()?,
             open_window: Option::decode(r)?,
             emitted: usize::decode(r)?,
             nfa_states: Vec::decode(r)?,
@@ -649,7 +330,7 @@ impl Wire for ReorderSnapshot {
         self.seq.encode(w);
         self.dropped.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ReorderSnapshot {
             max_delay: TimeDelta::decode(r)?,
             pending: Vec::decode(r)?,
@@ -670,7 +351,7 @@ impl Wire for EngineSnapshot {
         self.events_seen.encode(w);
         self.pending_epochs.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(EngineSnapshot {
             core: OnlineCoreSnapshot::decode(r)?,
             ledger: BudgetLedgerSnapshot::decode(r)?,
@@ -697,7 +378,7 @@ impl Wire for ControlPlaneSnapshot {
         self.compiled_initial.encode(w);
         self.dirty.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ControlPlaneSnapshot {
             patterns: PatternSet::decode(r)?,
             private_order: Vec::decode(r)?,
@@ -713,7 +394,7 @@ impl Wire for ControlPlaneSnapshot {
                     match seen.get_mut(dense as usize) {
                         Some(slot) if !*slot => *slot = true,
                         _ => {
-                            return Err(durability_err(format!(
+                            return Err(CodecError::Malformed(format!(
                                 "invalid dense subject index {dense} (must be a \
                                  permutation of 0..{})",
                                 subjects.len()
@@ -730,19 +411,6 @@ impl Wire for ControlPlaneSnapshot {
             epoch: u64::decode(r)?,
             compiled_initial: bool::decode(r)?,
             dirty: bool::decode(r)?,
-        })
-    }
-}
-
-impl Wire for KeyedEvent {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.subject.encode(w);
-        self.event.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
-        Ok(KeyedEvent {
-            subject: SubjectId::decode(r)?,
-            event: Event::decode(r)?,
         })
     }
 }
@@ -789,7 +457,7 @@ impl Wire for Command {
             }
         }
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match u8::decode(r)? {
             0 => Command::RegisterSubject(SubjectId::decode(r)?),
             1 => Command::RetireSubject(SubjectId::decode(r)?),
@@ -811,7 +479,7 @@ impl Wire for Command {
             },
             6 => Command::RemoveConsumerQuery(QueryId::decode(r)?),
             7 => Command::ProvideHistory(WindowedIndicators::new(Vec::decode(r)?)),
-            t => return Err(durability_err(format!("invalid command tag {t}"))),
+            t => return Err(CodecError::Malformed(format!("invalid command tag {t}"))),
         })
     }
 }
@@ -922,7 +590,7 @@ impl Wire for ShardCheckpoint {
         self.rng.encode(w);
         self.frontier.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ShardCheckpoint {
             buffer: ReorderSnapshot::decode(r)?,
             engine: EngineSnapshot::decode(r)?,
@@ -940,7 +608,7 @@ impl Wire for ShardMetaSnapshot {
         self.buffered.encode(w);
         self.released.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ShardMetaSnapshot {
             max_seen: Option::decode(r)?,
             frontier: Timestamp::decode(r)?,
@@ -960,7 +628,7 @@ impl Wire for MergeRowSnapshot {
         self.positive_shards.encode(w);
         self.union.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(MergeRowSnapshot {
             start: Timestamp::decode(r)?,
             epoch: u64::decode(r)?,
@@ -977,7 +645,7 @@ impl Wire for MergeSnapshot {
         self.next_index.encode(w);
         self.rows.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(MergeSnapshot {
             next_index: usize::decode(r)?,
             rows: Vec::decode(r)?,
@@ -1003,7 +671,7 @@ impl Wire for ServiceCheckpoint {
         self.finished.encode(w);
         self.wal_offset.encode(w);
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ServiceCheckpoint {
             parallel: bool::decode(r)?,
             shards: Vec::decode(r)?,
@@ -1027,9 +695,9 @@ impl Wire for ServiceCheckpoint {
 impl ServiceCheckpoint {
     /// Encode to the deterministic binary wire form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
+        let mut w = ByteWriter::new();
         self.encode(&mut w);
-        w.buf
+        w.into_bytes()
     }
 
     /// Decode from [`ServiceCheckpoint::to_bytes`] output; rejects
@@ -1086,7 +754,7 @@ pub fn read_checkpoint(path: &Path) -> Result<ServiceCheckpoint, CoreError> {
         return Err(durability_err("not a checkpoint file (bad magic)"));
     }
     let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    if len > MAX_LEN || bytes.len() as u64 != 24 + len {
+    if bytes.len() as u64 - 24 != len {
         return Err(durability_err("checkpoint file length mismatch"));
     }
     let payload = &bytes[16..16 + len as usize];
@@ -1137,14 +805,14 @@ impl Wire for WalRecord {
             WalRecord::Finish => 4u8.encode(w),
         }
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CoreError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match u8::decode(r)? {
             0 => WalRecord::Batch(Vec::decode(r)?),
             1 => WalRecord::Watermark(Timestamp::decode(r)?),
             2 => WalRecord::Command(Command::decode(r)?),
             3 => WalRecord::BeginEpoch,
             4 => WalRecord::Finish,
-            t => return Err(durability_err(format!("invalid wal record tag {t}"))),
+            t => return Err(CodecError::Malformed(format!("invalid wal record tag {t}"))),
         })
     }
 }
@@ -1250,13 +918,12 @@ impl WalWriter {
         &mut self,
         encode_payload: impl FnOnce(&mut ByteWriter),
     ) -> Result<(), CoreError> {
-        let mut w = ByteWriter {
-            buf: std::mem::take(&mut self.scratch),
-        };
-        w.buf.clear();
-        w.buf.extend_from_slice(&[0u8; 12]); // length + sequence, patched below
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf.extend_from_slice(&[0u8; 12]); // length + sequence, patched below
+        let mut w = ByteWriter::from_vec(buf);
         encode_payload(&mut w);
-        let mut frame = w.buf;
+        let mut frame = w.into_bytes();
         let payload_len = (frame.len() - 12) as u32;
         frame[0..4].copy_from_slice(&payload_len.to_le_bytes());
         frame[4..12].copy_from_slice(&self.seq.to_le_bytes());
@@ -1321,7 +988,7 @@ fn scan_wal(bytes: &[u8]) -> Result<WalScan, CoreError> {
             break; // torn tail (or clean end)
         }
         let len = u32::from_le_bytes(bytes[p..p + 4].try_into().unwrap()) as u64;
-        if len > MAX_LEN {
+        if len > MAX_WAL_RECORD {
             anomaly = Some(format!(
                 "implausible wal record length {len} at offset {pos}"
             ));
@@ -1442,6 +1109,7 @@ pub fn replay_into<S: ReleaseSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdp_stream::{AttrValue, Event};
 
     fn t(i: u32) -> EventType {
         EventType(i)
@@ -1456,14 +1124,15 @@ mod tests {
 
     #[test]
     fn primitives_round_trip_at_full_precision() {
-        let mut w = ByteWriter::default();
+        let mut w = ByteWriter::new();
         u64::MAX.encode(&mut w);
         (u64::MAX - 1).encode(&mut w);
         f64::MIN_POSITIVE.encode(&mut w);
         (-0.0f64).encode(&mut w);
         i64::MIN.encode(&mut w);
         "héllo".to_owned().encode(&mut w);
-        let mut r = ByteReader::new(&w.buf);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
         assert_eq!(u64::decode(&mut r).unwrap(), u64::MAX);
         assert_eq!(u64::decode(&mut r).unwrap(), u64::MAX - 1);
         assert_eq!(f64::decode(&mut r).unwrap(), f64::MIN_POSITIVE);
@@ -1475,11 +1144,12 @@ mod tests {
 
     #[test]
     fn truncated_and_trailing_payloads_error() {
-        let mut w = ByteWriter::default();
+        let mut w = ByteWriter::new();
         7u64.encode(&mut w);
-        let mut r = ByteReader::new(&w.buf[..4]);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes[..4]);
         assert!(u64::decode(&mut r).is_err());
-        let mut r = ByteReader::new(&w.buf);
+        let mut r = ByteReader::new(&bytes);
         u32::decode(&mut r).unwrap();
         assert!(r.finish().is_err(), "trailing bytes must be rejected");
     }
@@ -1507,9 +1177,10 @@ mod tests {
             WalRecord::Finish,
         ];
         for record in &records {
-            let mut w = ByteWriter::default();
+            let mut w = ByteWriter::new();
             record.encode(&mut w);
-            let mut r = ByteReader::new(&w.buf);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
             assert_eq!(&WalRecord::decode(&mut r).unwrap(), record);
             r.finish().unwrap();
         }

@@ -18,13 +18,12 @@
 use pdp_cep::{match_indicator, PatternId, PatternSet};
 use pdp_dp::{DpRng, Epsilon, Exponential};
 use pdp_stream::WindowedIndicators;
-use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 
 /// A categorical continuous query: per window, the answer is the label of
 /// the first detected option, or the fallback label.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CategoricalQuery {
     /// Candidate categories in priority order: `(label, pattern)`.
     pub options: Vec<(String, PatternId)>,
@@ -76,7 +75,7 @@ impl CategoricalQuery {
 }
 
 /// A windowed count query with an optional binary threshold.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountQuery {
     /// The pattern being counted.
     pub pattern: PatternId,
@@ -142,7 +141,7 @@ impl CountQuery {
 /// Utility of candidate `c` = number of windows in which `c` was detected;
 /// changing one event in one window changes any candidate's count by at
 /// most 1, so the utility sensitivity is 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoisyArgmax {
     /// Candidate patterns: `(label, id)`.
     pub candidates: Vec<(String, PatternId)>,

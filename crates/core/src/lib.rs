@@ -38,6 +38,8 @@
 //!   plans that every shard activates deterministically on one window
 //!   boundary, with the adaptive PPM re-run online at each transition
 //!   and epoch-aware budget accounting;
+//! * [`codec`] — the one byte codec every checkpoint, WAL record and
+//!   network frame is laid out with;
 //! * [`durability`] — crash consistency for the sharded service: full
 //!   plain-data checkpoints captured at draining sync points plus a
 //!   checksummed, sequence-numbered write-ahead log of accepted inputs;
@@ -51,6 +53,7 @@
 
 pub mod adaptive;
 pub mod answer;
+pub mod codec;
 pub mod control;
 pub mod correlation;
 pub mod distribution;

@@ -15,12 +15,11 @@
 use pdp_cep::{Pattern, PatternSet};
 use pdp_dp::DpRng;
 use pdp_stream::{EventType, IndicatorVector, WindowedIndicators};
-use serde::{Deserialize, Serialize};
 
 use crate::workload::Workload;
 
 /// Knobs for the Algorithm 2 generator (defaults = the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of basic event types (paper: 20).
     pub n_types: usize,
@@ -63,7 +62,7 @@ impl Default for SyntheticConfig {
 }
 
 /// A generated synthetic dataset: the workload plus the latent rates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticDataset {
     /// The evaluation workload.
     pub workload: Workload,

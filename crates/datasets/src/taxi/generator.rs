@@ -4,7 +4,6 @@
 use pdp_cep::{Pattern, PatternSet};
 use pdp_dp::DpRng;
 use pdp_stream::{EventType, IndicatorVector, TimeDelta, WindowedIndicators};
-use serde::{Deserialize, Serialize};
 
 use super::grid::Grid;
 use super::mobility::{Fleet, MobilityConfig};
@@ -15,7 +14,7 @@ use crate::workload::Workload;
 pub const SAMPLING_INTERVAL: TimeDelta = TimeDelta(177_000);
 
 /// Knobs for the Taxi workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaxiConfig {
     /// Cells per grid side (universe = side²).
     pub grid_side: u32,
@@ -69,7 +68,7 @@ impl TaxiConfig {
 }
 
 /// A generated Taxi dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaxiDataset {
     /// The evaluation workload.
     pub workload: Workload,

@@ -1,12 +1,7 @@
 //! The city grid: square cells with rook adjacency.
 
-use serde::{Deserialize, Serialize};
-
 /// A cell index on the grid (row-major).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CellId(pub u32);
 
 impl CellId {
@@ -17,7 +12,7 @@ impl CellId {
 }
 
 /// A `side × side` grid of cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid {
     side: u32,
 }

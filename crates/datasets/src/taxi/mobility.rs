@@ -7,12 +7,11 @@
 //! ~177 s sampling interval.
 
 use pdp_dp::DpRng;
-use serde::{Deserialize, Serialize};
 
 use super::grid::{CellId, Grid};
 
 /// Mobility model knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MobilityConfig {
     /// Number of hotspot cells.
     pub n_hotspots: usize,

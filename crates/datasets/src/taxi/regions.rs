@@ -8,12 +8,11 @@
 use std::collections::BTreeSet;
 
 use pdp_dp::DpRng;
-use serde::{Deserialize, Serialize};
 
 use super::grid::CellId;
 
 /// The drawn private and target areas.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionAssignment {
     /// Cells in the private area (paper: 20 % of all cells).
     pub private_cells: Vec<CellId>,

@@ -7,10 +7,9 @@
 
 use pdp_cep::{Pattern, PatternId, PatternSet};
 use pdp_stream::{EventType, WindowedIndicators};
-use serde::{Deserialize, Serialize};
 
 /// A complete evaluation workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workload {
     /// Display name ("synthetic", "taxi", …).
     pub name: String,

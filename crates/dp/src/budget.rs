@@ -5,7 +5,6 @@
 //! non-negative so distribution arithmetic cannot silently produce nonsense;
 //! [`BudgetLedger`] tracks cumulative spend per protected entity.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
@@ -14,8 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 use crate::error::DpError;
 
 /// A validated privacy budget: finite and non-negative.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Epsilon(f64);
 
 impl Epsilon {

@@ -2,9 +2,11 @@
 //!
 //! Every mechanism in this workspace draws from a [`DpRng`] seeded
 //! explicitly, so any experiment row can be regenerated bit-for-bit. The
-//! generator is `rand`'s `StdRng` (currently ChaCha12), which is more than
-//! adequate for simulation; cryptographic hardening of the noise source is
-//! out of scope for this reproduction.
+//! generator is the vendored `rand` stand-in's `StdRng`, which is
+//! xoshiro256++: adequate for simulation, but a linear generator whose
+//! state follows from a few outputs, so not a noise source a deployed
+//! service should rest on. Replacing it with a keyed counter-based
+//! generator is ROADMAP item 3.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};

@@ -53,8 +53,6 @@
 //! — which is exactly why N shards under churn stay bit-for-bit equal to
 //! N independent engines replaying the same command schedule.
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::Epsilon;
 use crate::error::DpError;
 use crate::rng::DpRng;
@@ -64,8 +62,7 @@ use crate::rng::DpRng;
 /// `p = 1/2` corresponds to `ε = 0` (the output is independent of the input);
 /// `p = 0` corresponds to `ε = ∞` (no protection) and is only representable
 /// as the limit — construction from a finite ε always yields `p > 0`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct FlipProb(f64);
 
 impl FlipProb {

@@ -1,8 +1,6 @@
 //! Ablation sweeps: sensitivity of the headline result to the design knobs
 //! DESIGN.md calls out.
 
-use serde::{Deserialize, Serialize};
-
 use pdp_core::{AdaptiveConfig, StepRule};
 use pdp_datasets::{SyntheticConfig, SyntheticDataset};
 use pdp_dp::Epsilon;
@@ -11,7 +9,7 @@ use pdp_metrics::{Alpha, Table};
 use crate::runner::{run_cell, MechanismSpec, RunConfig};
 
 /// Shared ablation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationConfig {
     /// Pattern-level ε at which the ablations are run.
     pub eps: f64,

@@ -1,15 +1,16 @@
 //! Fig. 4: MRE vs. privacy budget ε, five mechanisms, two datasets.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pdp_datasets::{SyntheticConfig, SyntheticDataset, TaxiConfig, TaxiDataset, Workload};
 use pdp_dp::Epsilon;
 use pdp_metrics::Table;
 
 use crate::runner::{run_cell, MechanismSpec, RunConfig, TrialOutcome};
+use crate::stats::Summary;
 
 /// Which dataset a Fig. 4 sweep runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dataset {
     /// The T-Drive substitute.
     Taxi,
@@ -28,7 +29,7 @@ impl Dataset {
 }
 
 /// Parameters of a Fig. 4 sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Config {
     /// The ε grid (pattern-level budgets).
     pub eps_grid: Vec<f64>,
@@ -81,7 +82,7 @@ impl Fig4Config {
 }
 
 /// One series of Fig. 4: a mechanism's MRE across the ε grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig4Series {
     /// Mechanism label.
     pub mechanism: String,
@@ -90,7 +91,7 @@ pub struct Fig4Series {
 }
 
 /// The complete result of one dataset's sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig4Result {
     /// Which dataset.
     pub dataset: String,
@@ -169,7 +170,7 @@ pub(crate) fn aggregate_cells(mut cells: Vec<TrialOutcome>) -> TrialOutcome {
         eps: cells[0].eps,
         q_ord: cells.iter().map(|c| c.q_ord).sum::<f64>() / n,
         q_ppm: cells.iter().map(|c| c.q_ppm).sum::<f64>() / n,
-        mre: pdp_metrics::Summary::from_values(&means).expect("at least one dataset"),
+        mre: Summary::from_values(&means).expect("at least one dataset"),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Shared experiment machinery: mechanism construction, trial execution,
 //! MRE scoring.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use pdp_baselines::{
     convert_budget, BudgetAbsorption, BudgetDistributionMechanism, ConversionPolicy, FullStreamRr,
@@ -11,12 +11,14 @@ use pdp_cep::PatternId;
 use pdp_core::{AdaptiveConfig, CoreError, Mechanism, ProtectionPipeline, QualityModel};
 use pdp_datasets::Workload;
 use pdp_dp::{DpRng, Epsilon};
-use pdp_metrics::{Alpha, ConfusionMatrix, QualityReport, Summary};
+use pdp_metrics::{Alpha, ConfusionMatrix, QualityReport};
 use pdp_stream::{EventType, WindowedIndicators};
+
+use crate::stats::Summary;
 
 /// Which mechanism a run uses. All budgets are **pattern-level** ε; the
 /// baselines convert internally (§VI-A.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MechanismSpec {
     /// §V-A uniform pattern-level PPM.
     Uniform,
@@ -66,7 +68,7 @@ impl MechanismSpec {
 }
 
 /// Per-run parameters shared across mechanisms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Pattern-level privacy budget.
     pub eps: Epsilon,
@@ -101,7 +103,7 @@ impl RunConfig {
 }
 
 /// The outcome of one (workload, mechanism, ε) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrialOutcome {
     /// Mechanism label.
     pub mechanism: String,

@@ -25,11 +25,11 @@ use pdp_core::{
 };
 use pdp_datasets::Workload;
 use pdp_dp::DpRng;
-use pdp_metrics::Summary;
 use pdp_stream::{EventType, IndicatorVector, TimeDelta, Timestamp, WindowedIndicators};
 
 use crate::fig4::{Dataset, Fig4Config, Fig4Result};
 use crate::runner::{history_split, score, MechanismSpec, RunConfig, TrialOutcome};
+use crate::stats::Summary;
 use crate::streaming::REPLAY_WINDOW;
 
 /// How many events each `push_batch` call carries during a replay (the

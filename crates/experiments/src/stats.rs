@@ -3,10 +3,10 @@
 //! Experiment rows are averaged over many seeded trials; [`Summary`] carries
 //! mean, sample standard deviation and a normal-approximation 95 % CI.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary statistics over a set of trial values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of trials.
     pub n: usize,

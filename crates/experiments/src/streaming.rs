@@ -21,11 +21,11 @@ use pdp_core::{
 };
 use pdp_datasets::Workload;
 use pdp_dp::{DpRng, Epsilon};
-use pdp_metrics::Summary;
 use pdp_stream::{IndicatorVector, TimeDelta, Timestamp, WindowedIndicators};
 
 use crate::fig4::{build_workload, Dataset, Fig4Config, Fig4Result, Fig4Series};
 use crate::runner::{history_split, score, MechanismSpec, RunConfig, TrialOutcome};
+use crate::stats::Summary;
 
 /// Window length used when reconstructing a workload's windows as an event
 /// stream. The value is arbitrary (indicators carry no intra-window

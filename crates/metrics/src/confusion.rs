@@ -5,10 +5,8 @@
 //! detection probabilities (the closed-form path used by Algorithm 1's
 //! quality estimator).
 
-use serde::{Deserialize, Serialize};
-
 /// Integer confusion counts for binary detection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Truth positive, predicted positive.
     pub tp: u64,
@@ -93,7 +91,7 @@ impl ConfusionMatrix {
 /// Each window contributes its *detection probability* instead of a hard
 /// 0/1, so `precision()`/`recall()` are the plug-in estimators
 /// `E[TP]/(E[TP]+E[FP])` and `E[TP]/(E[TP]+E[FN])`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FractionalConfusion {
     /// Expected true positives.
     pub tp: f64,

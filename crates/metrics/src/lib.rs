@@ -6,8 +6,7 @@
 //! * Eq. 4 — `MRE_Q = (Q_ord − Q_PPM) / Q_ord`
 //!
 //! plus confusion-matrix accumulation, expected-count (fractional) confusion
-//! for closed-form quality estimation, trial statistics (mean / std /
-//! 95 % CI) for the experiment harness, the sealed [`TrustedAudit`]
+//! for closed-form quality estimation, the sealed [`TrustedAudit`]
 //! view that quality metering opens (with an explicit [`AuditKey`]) to
 //! read a release's raw pre-protection detections, and the HDR-style
 //! log-bucketed [`LatencyHistogram`] the service edge and the repo
@@ -18,11 +17,9 @@ pub mod confusion;
 pub mod histogram;
 pub mod quality;
 pub mod report;
-pub mod stats;
 
 pub use audit::{AuditKey, TrustedAudit};
 pub use confusion::{ConfusionMatrix, FractionalConfusion};
 pub use histogram::LatencyHistogram;
 pub use quality::{f1, mre, quality, Alpha, QualityReport};
 pub use report::{csv_table, markdown_table, text_table, Table};
-pub use stats::Summary;

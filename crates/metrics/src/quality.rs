@@ -1,13 +1,10 @@
 //! The paper's quality metric `Q` (Eq. 3) and `MRE` (Eq. 4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::confusion::{ConfusionMatrix, FractionalConfusion};
 
 /// The precision/recall trade-off weight `α ∈ [0, 1]` of Eq. 3, chosen by
 /// data subjects and consumers (the paper's evaluation fixes `α = 0.5`).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Alpha(f64);
 
 impl Alpha {
@@ -63,7 +60,7 @@ pub fn mre(q_ord: f64, q_ppm: f64) -> f64 {
 }
 
 /// A bundled quality report for one detection run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityReport {
     /// Eq. 2.
     pub precision: f64,

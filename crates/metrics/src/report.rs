@@ -3,10 +3,8 @@
 //! The experiment harness prints the same rows the paper's figures plot;
 //! these helpers keep the formatting in one place.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-oriented result table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table {
     /// Table title (used as a caption).
     pub title: String,

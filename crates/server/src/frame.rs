@@ -24,10 +24,9 @@
 use std::io::{ErrorKind, Read, Write};
 
 use pdp_cep::QueryId;
+use pdp_core::codec::{ByteReader, ByteWriter, CodecError, Wire};
 use pdp_core::{KeyedEvent, SubjectId};
 use pdp_stream::{EventType, IndicatorVector, Timestamp};
-
-use crate::wire::{NetWire, WireReader, WireWriter};
 
 /// Protocol version spoken by this build. A peer announcing any other
 /// version is rejected with [`FrameError::BadVersion`] on its first
@@ -62,7 +61,7 @@ pub enum FrameError {
     /// The frame kind byte is not part of the protocol.
     UnknownKind(u8),
     /// A payload field is structurally invalid (bad tag, bad utf-8,
-    /// implausible count, ...).
+    /// indicator bits outside their universe, ...).
     Malformed(String),
     /// The underlying socket failed mid-frame.
     Io(ErrorKind),
@@ -94,6 +93,60 @@ impl From<std::io::Error> for FrameError {
     fn from(e: std::io::Error) -> Self {
         FrameError::Io(e.kind())
     }
+}
+
+impl From<CodecError> for FrameError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => FrameError::Truncated,
+            CodecError::TrailingBytes(n) => FrameError::TrailingBytes(n),
+            CodecError::Malformed(why) => FrameError::Malformed(why),
+        }
+    }
+}
+
+/// Encode a released indicator vector in the frame form: `n_types`, the
+/// word count, then the raw words. (Checkpoints use the codec's
+/// present-type list instead; see [`pdp_core::codec`].)
+fn encode_indicator_words(iv: &IndicatorVector, w: &mut ByteWriter) {
+    iv.n_types().encode(w);
+    iv.words().len().encode(w);
+    for word in iv.words() {
+        word.encode(w);
+    }
+}
+
+/// Decode [`encode_indicator_words`] output. The words are validated
+/// against the bytes left before the vector is allocated, and bits past
+/// `n_types` are rejected: a corrupted word must not smuggle presence
+/// for types that do not exist.
+fn decode_indicator_words(r: &mut ByteReader<'_>) -> Result<IndicatorVector, CodecError> {
+    let n_types = usize::decode(r)?;
+    let n_words = r.read_len()?;
+    if n_words != n_types.div_ceil(64) {
+        return Err(CodecError::Malformed(format!(
+            "indicator vector of {n_types} types cannot have {n_words} words"
+        )));
+    }
+    if n_words > r.remaining() / 8 {
+        return Err(CodecError::Truncated);
+    }
+    let mut iv = IndicatorVector::empty(n_types);
+    for wd in 0..n_words {
+        let word = u64::decode(r)?;
+        let valid = if (wd + 1) * 64 <= n_types {
+            u64::MAX
+        } else {
+            (1u64 << (n_types - wd * 64)) - 1
+        };
+        if word & !valid != 0 {
+            return Err(CodecError::Malformed(
+                "indicator vector has bits past its type universe".into(),
+            ));
+        }
+        iv.xor_word(wd, word);
+    }
+    Ok(iv)
 }
 
 /// A control-plane mutation carried over the wire (the `Control` frame's
@@ -131,8 +184,8 @@ pub enum WireCommand {
     RemoveQuery(QueryId),
 }
 
-impl NetWire for WireCommand {
-    fn encode(&self, w: &mut WireWriter) {
+impl Wire for WireCommand {
+    fn encode(&self, w: &mut ByteWriter) {
         match self {
             WireCommand::RegisterSubject(s) => {
                 0u8.encode(w);
@@ -168,7 +221,7 @@ impl NetWire for WireCommand {
             }
         }
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, FrameError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match u8::decode(r)? {
             0 => WireCommand::RegisterSubject(SubjectId::decode(r)?),
             1 => WireCommand::RetireSubject(SubjectId::decode(r)?),
@@ -186,7 +239,7 @@ impl NetWire for WireCommand {
                 elements: Vec::decode(r)?,
             },
             5 => WireCommand::RemoveQuery(QueryId::decode(r)?),
-            t => return Err(FrameError::Malformed(format!("invalid command tag {t}"))),
+            t => return Err(CodecError::Malformed(format!("invalid command tag {t}"))),
         })
     }
 }
@@ -205,8 +258,8 @@ pub enum WireAnswer {
     Argmax(String),
 }
 
-impl NetWire for WireAnswer {
-    fn encode(&self, w: &mut WireWriter) {
+impl Wire for WireAnswer {
+    fn encode(&self, w: &mut ByteWriter) {
         match self {
             WireAnswer::Bool(b) => {
                 0u8.encode(w);
@@ -226,13 +279,13 @@ impl NetWire for WireAnswer {
             }
         }
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, FrameError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match u8::decode(r)? {
             0 => WireAnswer::Bool(bool::decode(r)?),
             1 => WireAnswer::Count(u64::decode(r)?),
             2 => WireAnswer::Categorical(String::decode(r)?),
             3 => WireAnswer::Argmax(String::decode(r)?),
-            t => return Err(FrameError::Malformed(format!("invalid answer tag {t}"))),
+            t => return Err(CodecError::Malformed(format!("invalid answer tag {t}"))),
         })
     }
 }
@@ -270,21 +323,21 @@ pub struct ReleaseRecord {
     pub query_ids: Vec<QueryId>,
 }
 
-impl NetWire for ReleaseRecord {
-    fn encode(&self, w: &mut WireWriter) {
+impl Wire for ReleaseRecord {
+    fn encode(&self, w: &mut ByteWriter) {
         self.index.encode(w);
         self.start.encode(w);
         self.epoch.encode(w);
-        self.protected.encode(w);
+        encode_indicator_words(&self.protected, w);
         self.answers.encode(w);
         self.query_ids.encode(w);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, FrameError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ReleaseRecord {
             index: u64::decode(r)?,
             start: Timestamp::decode(r)?,
             epoch: u64::decode(r)?,
-            protected: IndicatorVector::decode(r)?,
+            protected: decode_indicator_words(r)?,
             answers: Vec::decode(r)?,
             query_ids: Vec::decode(r)?,
         })
@@ -310,24 +363,24 @@ pub struct MergedRecord {
     pub typed: Vec<(QueryId, WireAnswer)>,
 }
 
-impl NetWire for MergedRecord {
-    fn encode(&self, w: &mut WireWriter) {
+impl Wire for MergedRecord {
+    fn encode(&self, w: &mut ByteWriter) {
         self.index.encode(w);
         self.start.encode(w);
         self.epoch.encode(w);
         self.answers_any.encode(w);
         self.positive_shards.encode(w);
-        self.protected_any.encode(w);
+        encode_indicator_words(&self.protected_any, w);
         self.typed.encode(w);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, FrameError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(MergedRecord {
             index: u64::decode(r)?,
             start: Timestamp::decode(r)?,
             epoch: u64::decode(r)?,
             answers_any: Vec::decode(r)?,
             positive_shards: Vec::decode(r)?,
-            protected_any: IndicatorVector::decode(r)?,
+            protected_any: decode_indicator_words(r)?,
             typed: Vec::decode(r)?,
         })
     }
@@ -346,14 +399,14 @@ pub struct AnswerRecord {
     pub answer: WireAnswer,
 }
 
-impl NetWire for AnswerRecord {
-    fn encode(&self, w: &mut WireWriter) {
+impl Wire for AnswerRecord {
+    fn encode(&self, w: &mut ByteWriter) {
         self.query.encode(w);
         self.window.encode(w);
         self.epoch.encode(w);
         self.answer.encode(w);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, FrameError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(AnswerRecord {
             query: QueryId::decode(r)?,
             window: u64::decode(r)?,
@@ -376,14 +429,14 @@ pub struct ShardHealthRecord {
     pub heals: u32,
 }
 
-impl NetWire for ShardHealthRecord {
-    fn encode(&self, w: &mut WireWriter) {
+impl Wire for ShardHealthRecord {
+    fn encode(&self, w: &mut ByteWriter) {
         self.shard.encode(w);
         self.alive.encode(w);
         self.poisoned.encode(w);
         self.heals.encode(w);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, FrameError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ShardHealthRecord {
             shard: u64::decode(r)?,
             alive: bool::decode(r)?,
@@ -413,8 +466,8 @@ pub struct HealthRecord {
     pub shards: Vec<ShardHealthRecord>,
 }
 
-impl NetWire for HealthRecord {
-    fn encode(&self, w: &mut WireWriter) {
+impl Wire for HealthRecord {
+    fn encode(&self, w: &mut ByteWriter) {
         self.parallel.encode(w);
         self.degraded.encode(w);
         self.wal_retries.encode(w);
@@ -423,7 +476,7 @@ impl NetWire for HealthRecord {
         self.epoch.encode(w);
         self.shards.encode(w);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, FrameError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(HealthRecord {
             parallel: bool::decode(r)?,
             degraded: bool::decode(r)?,
@@ -453,8 +506,8 @@ pub enum ErrorCode {
     BadDirection,
 }
 
-impl NetWire for ErrorCode {
-    fn encode(&self, w: &mut WireWriter) {
+impl Wire for ErrorCode {
+    fn encode(&self, w: &mut ByteWriter) {
         let b: u8 = match self {
             ErrorCode::BadFrame => 0,
             ErrorCode::BadSequence => 1,
@@ -463,13 +516,13 @@ impl NetWire for ErrorCode {
         };
         b.encode(w);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, FrameError> {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match u8::decode(r)? {
             0 => ErrorCode::BadFrame,
             1 => ErrorCode::BadSequence,
             2 => ErrorCode::Rejected,
             3 => ErrorCode::BadDirection,
-            t => return Err(FrameError::Malformed(format!("invalid error code {t}"))),
+            t => return Err(CodecError::Malformed(format!("invalid error code {t}"))),
         })
     }
 }
@@ -645,7 +698,7 @@ impl Frame {
         }
     }
 
-    fn encode_payload(&self, w: &mut WireWriter) {
+    fn encode_payload(&self, w: &mut ByteWriter) {
         match self {
             Frame::Hello { client } => client.encode(w),
             Frame::PushBatch { seq, events } => {
@@ -709,7 +762,7 @@ impl Frame {
         }
     }
 
-    fn decode_payload(kind: u8, r: &mut WireReader<'_>) -> Result<Frame, FrameError> {
+    fn decode_payload(kind: u8, r: &mut ByteReader<'_>) -> Result<Frame, FrameError> {
         Ok(match kind {
             0x01 => Frame::Hello {
                 client: String::decode(r)?,
@@ -781,9 +834,9 @@ impl Frame {
     /// Encode this frame as a full envelope (length prefix + body +
     /// checksum), ready to write to a socket.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.buf.push(PROTOCOL_VERSION);
-        w.buf.push(self.kind());
+        let mut w = ByteWriter::new();
+        PROTOCOL_VERSION.encode(&mut w);
+        self.kind().encode(&mut w);
         self.encode_payload(&mut w);
         let body = w.into_bytes();
         debug_assert!(body.len() <= MAX_FRAME as usize);
@@ -797,7 +850,7 @@ impl Frame {
     /// Decode one frame body (version + kind + payload — the envelope's
     /// middle section, after the checksum already verified).
     pub fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
-        let mut r = WireReader::new(body);
+        let mut r = ByteReader::new(body);
         let version = u8::decode(&mut r)?;
         if version != PROTOCOL_VERSION {
             return Err(FrameError::BadVersion(version));
@@ -865,6 +918,13 @@ mod tests {
     use super::*;
     use pdp_stream::{AttrValue, Event};
 
+    /// A 130-type vector: three words, the last one partial.
+    fn wide_vector() -> IndicatorVector {
+        IndicatorVector::from_present([0, 63, 64, 100, 129].into_iter().map(EventType), 130)
+    }
+
+    /// One frame of every kind, in kind order; the batch carries every
+    /// attribute kind and the releases every answer kind.
     fn sample_frames() -> Vec<Frame> {
         vec![
             Frame::Hello {
@@ -872,10 +932,18 @@ mod tests {
             },
             Frame::PushBatch {
                 seq: 1,
-                events: vec![KeyedEvent::new(
-                    SubjectId(4),
-                    Event::new(EventType(2), Timestamp(50)).with_attr("v", AttrValue::Int(3)),
-                )],
+                events: vec![
+                    KeyedEvent::new(
+                        SubjectId(4),
+                        Event::new(EventType(2), Timestamp(-50))
+                            .with_attr("int", AttrValue::Int(i64::MIN))
+                            .with_attr("float", AttrValue::Float(-0.0))
+                            .with_attr("str", AttrValue::Str("héllo".into()))
+                            .with_attr("bool", AttrValue::Bool(true))
+                            .with_attr("loc", AttrValue::Location(1.5, -2.25)),
+                    ),
+                    KeyedEvent::new(SubjectId(u64::MAX), Event::new(EventType(0), Timestamp(40))),
+                ],
             },
             Frame::AdvanceWatermark {
                 seq: 2,
@@ -919,9 +987,14 @@ mod tests {
                     index: 7,
                     start: Timestamp(700),
                     epoch: 1,
-                    protected: IndicatorVector::from_present([EventType(1)], 32),
-                    answers: vec![WireAnswer::Bool(true), WireAnswer::Count(3)],
-                    query_ids: vec![QueryId(0), QueryId(5)],
+                    protected: wide_vector(),
+                    answers: vec![
+                        WireAnswer::Bool(true),
+                        WireAnswer::Count(3),
+                        WireAnswer::Categorical("c".into()),
+                        WireAnswer::Argmax("a".into()),
+                    ],
+                    query_ids: vec![QueryId(0), QueryId(5), QueryId(6), QueryId(8)],
                 },
             },
             Frame::DeliverAnswer {
@@ -939,7 +1012,7 @@ mod tests {
                     epoch: 1,
                     answers_any: vec![true, false],
                     positive_shards: vec![3, 0],
-                    protected_any: IndicatorVector::from_present([EventType(1)], 32),
+                    protected_any: wide_vector(),
                     typed: vec![(QueryId(0), WireAnswer::Bool(true))],
                 },
             },
@@ -966,6 +1039,37 @@ mod tests {
         ]
     }
 
+    /// `fnv1a` of each sample frame's envelope, captured before the
+    /// network and durability codecs were merged. Round trips pass for a
+    /// codec that changes its encoder and decoder in step; this does not,
+    /// so a layout change has to come with a new `PROTOCOL_VERSION`.
+    const SAMPLE_DIGESTS: [u64; 18] = [
+        0xca93_7c5c_a2ef_48f6,
+        0x8226_476c_88cf_45c8,
+        0xea2c_1639_8cb2_af89,
+        0xc267_9df9_0f14_68fe,
+        0x2fd6_6d4a_b503_accf,
+        0x3064_31de_a0ba_48ff,
+        0xd64e_2624_46cf_620c,
+        0x6d27_b771_8f1d_032b,
+        0xa6e5_1b8c_11b9_b0a6,
+        0x6f2d_3d84_ba91_0212,
+        0xbc57_09ca_1488_eb58,
+        0x92d6_10d4_d382_0325,
+        0x292b_4fdb_aa4e_446f,
+        0xf177_35fe_2bac_3265,
+        0x7085_d3be_fb8e_bbe5,
+        0x7ac6_7329_4ae7_2f32,
+        0xaa08_0abc_9219_426c,
+        0xfc4a_1334_d938_6d55,
+    ];
+
+    #[test]
+    fn every_frame_kind_keeps_its_bytes() {
+        let digests: Vec<u64> = sample_frames().iter().map(|f| fnv1a(&f.encode())).collect();
+        assert_eq!(digests, SAMPLE_DIGESTS);
+    }
+
     #[test]
     fn every_frame_roundtrips_through_a_stream() {
         let frames = sample_frames();
@@ -979,6 +1083,37 @@ mod tests {
             assert_eq!(&back, f);
         }
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn indicator_vector_roundtrips() {
+        for iv in [
+            IndicatorVector::from_present(
+                [EventType(0), EventType(63), EventType(64), EventType(99)],
+                130,
+            ),
+            IndicatorVector::empty(0),
+        ] {
+            let mut w = ByteWriter::new();
+            encode_indicator_words(&iv, &mut w);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(decode_indicator_words(&mut r).unwrap(), iv);
+            r.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn out_of_universe_indicator_bits_are_typed() {
+        let mut w = ByteWriter::new();
+        3usize.encode(&mut w); // n_types = 3
+        1usize.encode(&mut w); // one word
+        0b1111u64.encode(&mut w); // bit 3 is past the universe
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            decode_indicator_words(&mut ByteReader::new(&bytes)),
+            Err(CodecError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! with `body_len ≤ 16 MiB` ([`frame::MAX_FRAME`]) and `fnv1a` the
 //! standard FNV-1a 64 (offset basis `cbf29ce484222325`, prime
 //! `100000001b3`; `fnv1a("a")` = `af63dc4c8601ec8c`). Payload fields use
-//! the little-endian, length-prefixed encoding of [`wire`]. Any decode
+//! the little-endian, length-prefixed encoding of [`pdp_core::codec`],
+//! the same codec checkpoints and WAL records use. Any decode
 //! failure is a typed [`frame::FrameError`]; the server answers
 //! `Error(BadFrame)` and closes that connection — other connections and
 //! the service itself are untouched.
@@ -77,13 +78,12 @@
 //! * [`server::serve`] — the threaded TCP server over a service
 //! * [`client::Client`] — the blocking client (also the test driver)
 //! * [`load`] — the seeded multi-connection load generator (`pdp-load`)
-//! * [`frame`] / [`wire`] — the protocol and its byte codec
+//! * [`frame`] — the protocol
 
 pub mod client;
 pub mod frame;
 pub mod load;
 pub mod server;
-pub mod wire;
 
 pub use client::{AckInfo, Client, ClientError};
 pub use frame::{Frame, FrameError, WireAnswer, WireCommand};

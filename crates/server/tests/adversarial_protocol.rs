@@ -322,6 +322,37 @@ fn wrong_direction_frames_are_rejected_connection_survives() {
     assert_eq!(service.events_ingested(), 68);
 }
 
+/// A 0x86 body announcing a 2^28-type indicator vector (2^22 words)
+/// and carrying none of its words. Every kind decodes before the server
+/// checks direction, so any client can send one: the word count is
+/// checked against the bytes left before the vector is allocated, and
+/// the frame draws a typed BadFrame.
+#[test]
+fn unbacked_indicator_universe_is_a_bad_frame() {
+    let mut body = vec![PROTOCOL_VERSION, 0x86];
+    // index, start, epoch, two empty lists, n_types, n_words
+    for field in [7u64, 0, 0, 0, 0, 1 << 28, 1 << 22] {
+        body.extend_from_slice(&field.to_le_bytes());
+    }
+    assert_eq!(Frame::decode_body(&body), Err(FrameError::Truncated));
+    let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+    bytes.extend_from_slice(&body);
+    bytes.extend_from_slice(&fnv1a(&body).to_le_bytes());
+    let service = with_hostile(|addr| {
+        let mut evil = Client::connect(addr, "evil").unwrap();
+        evil.send_bytes(&bytes).unwrap();
+        match evil.read_raw() {
+            Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::BadFrame),
+            other => panic!("expected a typed BadFrame error, got {other:?}"),
+        }
+    });
+    assert_eq!(
+        service.events_ingested(),
+        64,
+        "the hostile frame ingests nothing"
+    );
+}
+
 #[test]
 fn non_hello_first_frame_is_rejected() {
     let (handle, addr) = spawn_server();

@@ -5,16 +5,12 @@
 //! [`Timestamp`] and optional typed attributes
 //! (GPS cell, taxi id, sensor reading, …).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::time::Timestamp;
 
 /// Interned identifier of an event type (dense, starts at 0).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EventType(pub u32);
 
 impl EventType {
@@ -31,7 +27,7 @@ impl fmt::Display for EventType {
 }
 
 /// A typed attribute value attached to an event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// Signed integer payload (ids, counters).
     Int(i64),
@@ -89,7 +85,7 @@ impl AttrValue {
 }
 
 /// A single event: `e_i` in the event stream `S_E = (e_1, e_2, …)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Interned type of the event.
     pub ty: EventType,
@@ -191,14 +187,6 @@ mod tests {
     fn event_type_index_matches_id() {
         assert_eq!(EventType(7).index(), 7);
         assert_eq!(EventType(7).to_string(), "E7");
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_event() {
-        let e = ev().with_attr("cell", AttrValue::Location(3.0, 4.0));
-        let json = serde_json::to_string(&e).unwrap();
-        let back: Event = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //! representation (`{"bits": [true, false, …]}`), so recorded traces and
 //! JSON artifacts keep round-tripping.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{Event, EventType};
 use crate::stream::EventStream;
 use crate::window::WindowAssigner;
@@ -199,37 +197,6 @@ impl IndicatorVector {
     }
 }
 
-impl Serialize for IndicatorVector {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![(
-            "bits".to_owned(),
-            serde::Value::Array(
-                self.to_bools()
-                    .into_iter()
-                    .map(serde::Value::Bool)
-                    .collect(),
-            ),
-        )])
-    }
-}
-
-impl Deserialize for IndicatorVector {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let bits = v
-            .get("bits")
-            .and_then(|b| b.as_array())
-            .ok_or_else(|| serde::Error::custom("IndicatorVector expects {\"bits\": [...]}"))?;
-        let mut out = IndicatorVector::empty(bits.len());
-        for (i, b) in bits.iter().enumerate() {
-            let present = b
-                .as_bool()
-                .ok_or_else(|| serde::Error::custom("indicator bits must be booleans"))?;
-            out.set(EventType(i as u32), present);
-        }
-        Ok(out)
-    }
-}
-
 /// A precompiled set of event types over a fixed universe, bit-packed the
 /// same way as [`IndicatorVector`]. Built once at setup from a pattern's
 /// distinct types; [`TypeMask::matches`] is then a branch-free word-level
@@ -321,7 +288,7 @@ impl TypeMask {
 }
 
 /// The per-window indicator history of a stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedIndicators {
     n_types: usize,
     windows: Vec<IndicatorVector>,
@@ -554,19 +521,6 @@ mod tests {
         let mixed = TypeMask::from_types([EventType(1), EventType(9)], 4);
         assert!(mixed.is_impossible());
         assert!(!mixed.matches(&full));
-    }
-
-    #[test]
-    fn serde_keeps_the_legacy_bits_shape() {
-        let v = IndicatorVector::from_present([EventType(1), EventType(64)], 66);
-        let json = serde_json::to_string(&v).unwrap();
-        assert!(json.contains("\"bits\""));
-        let back: IndicatorVector = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, v);
-        // and the wire form is exactly the old Vec<bool> field encoding
-        let legacy = "{\"bits\":[false,true,false]}";
-        let parsed: IndicatorVector = serde_json::from_str(legacy).unwrap();
-        assert_eq!(parsed, IndicatorVector::from_present([EventType(1)], 3));
     }
 
     #[test]

@@ -5,14 +5,13 @@
 //! applied (setup phase, Fig. 2). Schemas are optional — events with no
 //! registered schema pass through unchecked.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::error::StreamError;
 use crate::event::{AttrValue, Event, EventType};
 
 /// The kind of an attribute, for validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttrKind {
     /// Signed integer.
     Int,
@@ -41,7 +40,7 @@ impl AttrKind {
 }
 
 /// Declared attribute layout for one event type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventSchema {
     /// The event type this schema constrains.
     pub ty: EventType,

@@ -5,8 +5,6 @@
 //! the CEP engine consumes (finite sources model recorded traces; the
 //! generators in `pdp-datasets` produce them).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::StreamError;
 use crate::event::{Event, EventType};
 use crate::time::Timestamp;
@@ -16,7 +14,7 @@ use crate::time::Timestamp;
 /// Events must be appended in non-decreasing timestamp order; equal
 /// timestamps are allowed and their relative order is arbitrary (the paper
 /// notes this order "has no influence on any discussion").
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventStream {
     events: Vec<Event>,
 }

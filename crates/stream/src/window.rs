@@ -6,15 +6,13 @@
 //! sliding and count windows are provided for the CEP engine and the w-event
 //! baselines (whose guarantee spans any `w` successive timestamps).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::StreamError;
 use crate::event::Event;
 use crate::stream::EventStream;
 use crate::time::{TimeDelta, Timestamp};
 
 /// A concrete window instance: `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Window {
     /// Sequential index of the window in its assignment.
     pub index: usize,
@@ -42,7 +40,7 @@ impl Window {
 }
 
 /// Window policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowKind {
     /// Back-to-back windows of fixed length.
     Tumbling {
