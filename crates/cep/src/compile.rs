@@ -64,25 +64,8 @@ impl CompiledSet {
         self.compiled.is_empty()
     }
 
-    /// Evaluate one pattern against a window of ordered event types.
-    ///
-    /// `OrderedWithin` needs timestamps; use
-    /// [`CompiledSet::detect_timed`] for it — here it degrades to plain
-    /// ordered matching (span unchecked).
-    pub fn detect(&self, id: PatternId, window: &[EventType], semantics: Semantics) -> bool {
-        let Some(cp) = self.compiled.get(&id) else {
-            return false;
-        };
-        match semantics {
-            Semantics::Ordered | Semantics::OrderedWithin(_) => {
-                cp.nfa.accepts(window.iter().copied())
-            }
-            Semantics::Conjunction => cp.distinct.iter().all(|ty| window.contains(ty)),
-        }
-    }
-
-    /// Evaluate one pattern against timestamped window events, honouring
-    /// span constraints.
+    /// Evaluate one pattern against a window's timestamped events (in
+    /// temporal order), honouring span constraints.
     pub fn detect_timed(
         &self,
         id: PatternId,
@@ -110,9 +93,18 @@ impl CompiledSet {
 mod tests {
     use super::*;
     use crate::pattern::Pattern;
+    use pdp_stream::{TimeDelta, Timestamp};
 
     fn t(i: u32) -> EventType {
         EventType(i)
+    }
+
+    /// A window of `(type, ms)` events, already in temporal order.
+    fn w(events: &[(u32, i64)]) -> Vec<(EventType, Timestamp)> {
+        events
+            .iter()
+            .map(|&(ty, ms)| (t(ty), Timestamp::from_millis(ms)))
+            .collect()
     }
 
     fn compiled() -> (CompiledSet, PatternId) {
@@ -124,18 +116,41 @@ mod tests {
     #[test]
     fn ordered_vs_conjunction() {
         let (cs, id) = compiled();
-        let reversed = [t(1), t(0)];
-        assert!(!cs.detect(id, &reversed, Semantics::Ordered));
-        assert!(cs.detect(id, &reversed, Semantics::Conjunction));
-        let ordered = [t(0), t(5), t(1)];
-        assert!(cs.detect(id, &ordered, Semantics::Ordered));
-        assert!(cs.detect(id, &ordered, Semantics::Conjunction));
+        let reversed = w(&[(1, 0), (0, 1)]);
+        assert!(!cs.detect_timed(id, &reversed, Semantics::Ordered));
+        assert!(cs.detect_timed(id, &reversed, Semantics::Conjunction));
+        let ordered = w(&[(0, 0), (5, 1), (1, 2)]);
+        assert!(cs.detect_timed(id, &ordered, Semantics::Ordered));
+        assert!(cs.detect_timed(id, &ordered, Semantics::Conjunction));
+        // an element missing, or no events at all: no semantics detects it
+        for window in [w(&[(0, 0), (5, 1)]), w(&[])] {
+            for sem in [
+                Semantics::Ordered,
+                Semantics::Conjunction,
+                Semantics::OrderedWithin(TimeDelta::from_millis(100)),
+            ] {
+                assert!(!cs.detect_timed(id, &window, sem), "{sem:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_within_enforces_span() {
+        let (cs, id) = compiled();
+        // tightest match spans 10 ms (50 → 60)
+        let window = w(&[(0, 0), (0, 50), (1, 60)]);
+        let within = |ms| Semantics::OrderedWithin(TimeDelta::from_millis(ms));
+        assert!(cs.detect_timed(id, &window, within(10)));
+        assert!(!cs.detect_timed(id, &window, within(5)));
+        // plain ordered ignores the span
+        assert!(cs.detect_timed(id, &window, Semantics::Ordered));
     }
 
     #[test]
     fn missing_pattern_is_not_detected() {
         let (cs, _) = compiled();
-        assert!(!cs.detect(PatternId(9), &[t(0), t(1)], Semantics::Ordered));
+        let window = w(&[(0, 0), (1, 1)]);
+        assert!(!cs.detect_timed(PatternId(9), &window, Semantics::Ordered));
     }
 
     #[test]
@@ -155,9 +170,9 @@ mod tests {
         let id = set.insert(Pattern::seq("pp", vec![t(0), t(0)]).unwrap());
         let cs = CompiledSet::compile(&set);
         // conjunction only needs one occurrence of each distinct type …
-        assert!(cs.detect(id, &[t(0)], Semantics::Conjunction));
+        assert!(cs.detect_timed(id, &w(&[(0, 0)]), Semantics::Conjunction));
         // … but ordered needs two.
-        assert!(!cs.detect(id, &[t(0)], Semantics::Ordered));
-        assert!(cs.detect(id, &[t(0), t(0)], Semantics::Ordered));
+        assert!(!cs.detect_timed(id, &w(&[(0, 0)]), Semantics::Ordered));
+        assert!(cs.detect_timed(id, &w(&[(0, 0), (0, 1)]), Semantics::Ordered));
     }
 }

@@ -1,28 +1,18 @@
 //! Continuous detection: event stream → pattern stream (Fig. 1).
 //!
 //! A [`Detector`] evaluates every registered pattern against every window of
-//! a stream, producing the per-window detection table that downstream
-//! metrics and mechanisms consume. The paper's pattern stream
-//! `S_P = (P₁, P₂, …)` corresponds to the `true` entries of this table in
-//! window order.
+//! a whole recorded stream, producing the per-window detection table. The
+//! paper's pattern stream `S_P = (P₁, P₂, …)` corresponds to the `true`
+//! entries of this table in window order. It is the batch reference the
+//! online [`IncrementalDetector`](crate::IncrementalDetector) is checked
+//! against, and the unprotected view examples and tests compare protected
+//! answers with.
 
-use pdp_stream::{EventStream, EventType, WindowAssigner, WindowedIndicators};
+use pdp_stream::{EventStream, EventType, WindowAssigner};
 
 use crate::compile::CompiledSet;
-use crate::matcher::match_indicator;
 use crate::pattern::{PatternId, PatternSet};
 use crate::query::Semantics;
-
-/// One pattern's detection outcome in one window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Detection {
-    /// Window index.
-    pub window: usize,
-    /// Which pattern.
-    pub pattern: PatternId,
-    /// Whether it was detected.
-    pub detected: bool,
-}
 
 /// Per-window detection table: `table[window][pattern.0] = detected`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,25 +53,6 @@ impl DetectionTable {
     /// Number of patterns per window.
     pub fn n_patterns(&self) -> usize {
         self.n_patterns
-    }
-
-    /// Count of windows in which `pattern` is detected.
-    pub fn detection_count(&self, pattern: PatternId) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.get(pattern.0 as usize).copied().unwrap_or(false))
-            .count()
-    }
-
-    /// Iterate all detections as [`Detection`] records.
-    pub fn iter(&self) -> impl Iterator<Item = Detection> + '_ {
-        self.rows.iter().enumerate().flat_map(|(w, row)| {
-            row.iter().enumerate().map(move |(p, &d)| Detection {
-                window: w,
-                pattern: PatternId(p as u32),
-                detected: d,
-            })
-        })
     }
 }
 
@@ -129,28 +100,13 @@ impl Detector {
         }
         table
     }
-
-    /// Detect over pre-computed indicator vectors (conjunction semantics:
-    /// indicators carry no ordering information).
-    pub fn detect_indicators(&self, indicators: &WindowedIndicators) -> DetectionTable {
-        let mut table = DetectionTable::new(self.patterns.len());
-        for iv in indicators.iter() {
-            let row = self
-                .patterns
-                .iter()
-                .map(|(_, p)| match_indicator(p, iv))
-                .collect();
-            table.push_window(row);
-        }
-        table
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pattern::Pattern;
-    use pdp_stream::{Event, IndicatorVector, TimeDelta, Timestamp};
+    use pdp_stream::{Event, TimeDelta, Timestamp};
 
     fn t(i: u32) -> EventType {
         EventType(i)
@@ -183,25 +139,32 @@ mod tests {
     }
 
     #[test]
+    fn detect_indicators_matches_conjunction() {
+        // the release path matches patterns on indicator vectors; under
+        // conjunction that agrees with this batch reference on raw events
+        let detector = Detector::new(patterns(), Semantics::Conjunction);
+        let stream =
+            EventStream::from_unordered(vec![ev(1, 1), ev(0, 5), ev(2, 12), ev(0, 14), ev(2, 25)]);
+        let assigner = WindowAssigner::tumbling(TimeDelta::from_millis(10)).unwrap();
+        let table = detector.detect_stream(&stream, &assigner);
+        let indicators = pdp_stream::WindowedIndicators::from_stream(&stream, &assigner, 3);
+        assert_eq!(indicators.len(), table.n_windows());
+        for (w, iv) in indicators.iter().enumerate() {
+            for (id, pattern) in detector.patterns().iter() {
+                let on_indicators = crate::matcher::match_indicator(pattern, iv);
+                assert_eq!(on_indicators, table.get(w, id), "window {w} {id}");
+            }
+        }
+        assert!(table.get(0, PatternId(0)) && table.get(1, PatternId(1)));
+    }
+
+    #[test]
     fn conjunction_semantics_in_stream_detection() {
         let detector = Detector::new(patterns(), Semantics::Conjunction);
         let stream = EventStream::from_unordered(vec![ev(1, 1), ev(0, 5)]);
         let assigner = WindowAssigner::tumbling(TimeDelta::from_millis(10)).unwrap();
         let table = detector.detect_stream(&stream, &assigner);
         assert!(table.get(0, PatternId(0))); // order ignored
-    }
-
-    #[test]
-    fn detect_indicators_matches_conjunction() {
-        let detector = Detector::new(patterns(), Semantics::Conjunction);
-        let w0 = IndicatorVector::from_present([t(0), t(1)], 3);
-        let w1 = IndicatorVector::from_present([t(2)], 3);
-        let wi = WindowedIndicators::new(vec![w0, w1]);
-        let table = detector.detect_indicators(&wi);
-        assert!(table.get(0, PatternId(0)));
-        assert!(!table.get(0, PatternId(1)));
-        assert!(!table.get(1, PatternId(0)));
-        assert!(table.get(1, PatternId(1)));
     }
 
     #[test]
@@ -223,10 +186,13 @@ mod tests {
         let mut table = DetectionTable::new(2);
         table.push_window(vec![true, false]);
         table.push_window(vec![true, true]);
-        assert_eq!(table.detection_count(PatternId(0)), 2);
-        assert_eq!(table.detection_count(PatternId(1)), 1);
-        assert_eq!(table.iter().count(), 4);
-        assert_eq!(table.iter().filter(|d| d.detected).count(), 3);
+        assert_eq!((table.n_windows(), table.n_patterns()), (2, 2));
+        let count = |p| {
+            (0..table.n_windows())
+                .filter(|&w| table.get(w, PatternId(p)))
+                .count()
+        };
+        assert_eq!((count(0), count(1)), (2, 1));
         assert!(!table.get(9, PatternId(0))); // out of range
     }
 }

@@ -2,16 +2,12 @@
 
 use std::fmt;
 
-/// Errors raised by pattern/query construction and the engine.
+/// Errors raised by pattern construction and the detectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CepError {
     /// A pattern was declared with no elements.
     EmptyPattern,
-    /// A query referenced an unknown pattern id.
-    UnknownPattern(u32),
-    /// A query referenced an unknown query id.
-    UnknownQuery(u32),
-    /// A query definition was structurally invalid.
+    /// A detector was built or driven with structurally invalid input.
     InvalidQuery(String),
 }
 
@@ -19,8 +15,6 @@ impl fmt::Display for CepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CepError::EmptyPattern => write!(f, "pattern must have at least one element"),
-            CepError::UnknownPattern(id) => write!(f, "unknown pattern id {id}"),
-            CepError::UnknownQuery(id) => write!(f, "unknown query id {id}"),
             CepError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
         }
     }
@@ -38,7 +32,6 @@ mod tests {
             CepError::EmptyPattern.to_string(),
             "pattern must have at least one element"
         );
-        assert!(CepError::UnknownPattern(3).to_string().contains('3'));
         assert!(CepError::InvalidQuery("bad".into())
             .to_string()
             .contains("bad"));

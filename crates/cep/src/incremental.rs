@@ -870,13 +870,18 @@ mod tests {
 
     proptest! {
         /// Incremental detection agrees with the batch detector on random
-        /// streams, for both semantics.
+        /// streams, for all three semantics.
         #[test]
         fn matches_batch_detector(
             events in proptest::collection::vec((0u32..3, 0i64..200), 1..60),
-            ordered in any::<bool>(),
+            variant in 0u8..3,
+            span_ms in 0i64..30,
         ) {
-            let semantics = if ordered { Semantics::Ordered } else { Semantics::Conjunction };
+            let semantics = match variant {
+                0 => Semantics::Ordered,
+                1 => Semantics::Conjunction,
+                _ => Semantics::OrderedWithin(TimeDelta::from_millis(span_ms)),
+            };
             let stream = EventStream::from_unordered(
                 events.iter().map(|&(ty, ms)| e(ty, ms)).collect(),
             );

@@ -1,9 +1,11 @@
 //! # `pdp-cep` — complex event processing substrate
 //!
 //! The CEP layer of the paper's system model (§III): patterns over event
-//! streams, the pattern-type/pattern-instance distinction (Def. 2), binary
-//! continuous queries, and a detection engine that turns an event stream
-//! `S_E` into a pattern stream `S_P` (Fig. 1).
+//! streams, the pattern-type/pattern-instance distinction (Def. 2), and
+//! detectors that turn an event stream `S_E` into a pattern stream `S_P`
+//! (Fig. 1). Consumer queries and their binary per-window answers are
+//! served on the *protected* view by `pdp_core::answer`; this crate only
+//! supplies the stable [`QueryId`] they are keyed by.
 //!
 //! Two detection semantics are supported, because the paper uses both:
 //!
@@ -14,25 +16,24 @@
 //!   semantics of the paper's synthetic benchmark (Algorithm 2: "If all
 //!   three events are contained in one Lm, then their corresponding pattern
 //!   is regarded as being detected").
+//!
+//! [`IncrementalDetector`] is the online form the release path runs;
+//! [`Detector`] is the batch reference it is checked against.
 
 pub mod compile;
 pub mod detector;
-pub mod engine;
 pub mod error;
 pub mod incremental;
 pub mod matcher;
 pub mod nfa;
-pub mod parse;
 pub mod pattern;
 pub mod query;
 
 pub use compile::{CompiledPattern, CompiledSet};
-pub use detector::{Detection, DetectionTable, Detector};
-pub use engine::{CepEngine, QueryAnswers};
+pub use detector::{DetectionTable, Detector};
 pub use error::CepError;
 pub use incremental::{ClosedWindow, DetectorSnapshot, IncrementalDetector, PreparedPatternSwap};
-pub use matcher::{match_indicator, match_mask, match_window, WindowMatch};
+pub use matcher::{match_indicator, match_mask};
 pub use nfa::Nfa;
-pub use parse::parse_query;
 pub use pattern::{Pattern, PatternId, PatternSet};
-pub use query::{Query, QueryExpr, QueryId, Semantics};
+pub use query::{QueryId, Semantics};

@@ -1,70 +1,15 @@
-//! Per-window pattern matching.
+//! Per-window pattern matching on indicator vectors.
 //!
-//! [`match_window`] answers "is pattern `P` detected in this window?" for a
-//! single window, in both semantics, over either raw events or an indicator
-//! vector (the post-protection view only has indicators — randomized
-//! response erases event multiplicity and order for perturbed types, which
-//! is why the paper's mechanisms, and the conjunction semantics, operate on
-//! indicators).
+//! The post-protection view only has indicators — randomized response
+//! erases event multiplicity and order for perturbed types, which is why
+//! the paper's mechanisms, and the conjunction semantics, operate on
+//! indicators. Matching over raw, timestamped window events (all three
+//! [`Semantics`](crate::Semantics)) is
+//! [`CompiledSet::detect_timed`](crate::CompiledSet::detect_timed).
 
-use pdp_stream::{Event, EventType, IndicatorVector};
+use pdp_stream::IndicatorVector;
 
 use crate::pattern::Pattern;
-use crate::query::Semantics;
-
-/// The result of matching one pattern against one window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowMatch {
-    /// Whether the pattern was detected.
-    pub detected: bool,
-    /// For ordered semantics on raw events: positions of the earliest
-    /// match within the window's event slice.
-    pub positions: Option<Vec<usize>>,
-}
-
-impl WindowMatch {
-    /// A non-detection.
-    pub fn miss() -> Self {
-        WindowMatch {
-            detected: false,
-            positions: None,
-        }
-    }
-}
-
-/// Match `pattern` against a window of raw events.
-pub fn match_window(pattern: &Pattern, events: &[Event], semantics: Semantics) -> WindowMatch {
-    let types: Vec<EventType> = events.iter().map(|e| e.ty).collect();
-    match semantics {
-        Semantics::Ordered => {
-            let nfa = crate::nfa::Nfa::from_elements(pattern.elements());
-            match nfa.match_positions(&types) {
-                Some(positions) => WindowMatch {
-                    detected: true,
-                    positions: Some(positions),
-                },
-                None => WindowMatch::miss(),
-            }
-        }
-        Semantics::Conjunction => {
-            let detected = pattern.distinct_types().iter().all(|ty| types.contains(ty));
-            WindowMatch {
-                detected,
-                positions: None,
-            }
-        }
-        Semantics::OrderedWithin(span) => {
-            let timed: Vec<(EventType, pdp_stream::Timestamp)> =
-                events.iter().map(|e| (e.ty, e.ts)).collect();
-            let nfa = crate::nfa::Nfa::from_elements(pattern.elements());
-            let detected = nfa.min_span(&timed).is_some_and(|best| best <= span);
-            WindowMatch {
-                detected,
-                positions: None,
-            }
-        }
-    }
-}
 
 /// Match `pattern` against a window's indicator vector (conjunction
 /// semantics — indicators carry no order).
@@ -91,48 +36,10 @@ pub fn match_mask(mask: &pdp_stream::TypeMask, indicators: &IndicatorVector) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::Pattern;
-    use pdp_stream::Timestamp;
+    use pdp_stream::{Event, EventType, Timestamp};
 
     fn t(i: u32) -> EventType {
         EventType(i)
-    }
-
-    fn ev(ty: u32, ms: i64) -> Event {
-        Event::new(t(ty), Timestamp::from_millis(ms))
-    }
-
-    #[test]
-    fn ordered_match_reports_positions() {
-        let p = Pattern::seq("p", vec![t(0), t(2)]).unwrap();
-        let window = [ev(1, 0), ev(0, 1), ev(1, 2), ev(2, 3)];
-        let m = match_window(&p, &window, Semantics::Ordered);
-        assert!(m.detected);
-        assert_eq!(m.positions, Some(vec![1, 3]));
-    }
-
-    #[test]
-    fn ordered_mismatch() {
-        let p = Pattern::seq("p", vec![t(2), t(0)]).unwrap();
-        let window = [ev(0, 1), ev(2, 3)];
-        let m = match_window(&p, &window, Semantics::Ordered);
-        assert!(!m.detected);
-        assert_eq!(m.positions, None);
-    }
-
-    #[test]
-    fn conjunction_ignores_order() {
-        let p = Pattern::seq("p", vec![t(2), t(0)]).unwrap();
-        let window = [ev(0, 1), ev(2, 3)];
-        let m = match_window(&p, &window, Semantics::Conjunction);
-        assert!(m.detected);
-    }
-
-    #[test]
-    fn conjunction_missing_element() {
-        let p = Pattern::seq("p", vec![t(0), t(1), t(2)]).unwrap();
-        let window = [ev(0, 1), ev(2, 3)];
-        assert!(!match_window(&p, &window, Semantics::Conjunction).detected);
     }
 
     #[test]
@@ -146,35 +53,32 @@ mod tests {
     }
 
     #[test]
-    fn ordered_within_enforces_span() {
-        use pdp_stream::TimeDelta;
-        let p = Pattern::seq("p", vec![t(0), t(1)]).unwrap();
-        let window = [ev(0, 0), ev(0, 50), ev(1, 60)];
-        // tightest match spans 10 ms (50 → 60)
-        assert!(
-            match_window(
-                &p,
-                &window,
-                Semantics::OrderedWithin(TimeDelta::from_millis(10))
-            )
-            .detected
-        );
-        assert!(
-            !match_window(
-                &p,
-                &window,
-                Semantics::OrderedWithin(TimeDelta::from_millis(5))
-            )
-            .detected
-        );
-        // plain ordered ignores the span
-        assert!(match_window(&p, &window, Semantics::Ordered).detected);
+    fn conjunction_ignores_order() {
+        // indicators erase order: `seq(t2, t0)` matches a window where t0
+        // came first
+        let p = Pattern::seq("p", vec![t(2), t(0)]).unwrap();
+        let window = [
+            Event::new(t(0), Timestamp::from_millis(1)),
+            Event::new(t(2), Timestamp::from_millis(3)),
+        ];
+        let iv = IndicatorVector::from_present(window.iter().map(|e| e.ty), 3);
+        assert!(match_indicator(&p, &iv));
+        assert!(match_mask(&p.type_mask(3), &iv));
+    }
+
+    #[test]
+    fn conjunction_missing_element() {
+        let p = Pattern::seq("p", vec![t(0), t(1), t(2)]).unwrap();
+        let iv = IndicatorVector::from_present([t(0), t(2)], 3);
+        assert!(!match_indicator(&p, &iv));
+        assert!(!match_mask(&p.type_mask(3), &iv));
     }
 
     #[test]
     fn empty_window_detects_nothing() {
         let p = Pattern::single("p", t(0));
-        assert!(!match_window(&p, &[], Semantics::Ordered).detected);
-        assert!(!match_window(&p, &[], Semantics::Conjunction).detected);
+        let iv = IndicatorVector::empty(3);
+        assert!(!match_indicator(&p, &iv));
+        assert!(!match_mask(&p.type_mask(3), &iv));
     }
 }

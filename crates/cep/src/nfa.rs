@@ -58,26 +58,6 @@ impl Nfa {
         false
     }
 
-    /// Like [`Nfa::accepts`] but returns the matched positions (indices into
-    /// the window's event slice) of the earliest match, if any.
-    pub fn match_positions(&self, events: &[EventType]) -> Option<Vec<usize>> {
-        let mut positions = Vec::with_capacity(self.steps.len());
-        let mut state = 0;
-        if self.steps.is_empty() {
-            return Some(positions);
-        }
-        for (i, &ty) in events.iter().enumerate() {
-            if ty == self.steps[state] {
-                positions.push(i);
-                state += 1;
-                if state == self.steps.len() {
-                    return Some(positions);
-                }
-            }
-        }
-        None
-    }
-
     /// The minimum time span of any complete match over timestamped
     /// events: `min(ts_last − ts_first)` across all subsequence matches,
     /// or `None` if no match exists.
@@ -173,15 +153,6 @@ mod tests {
         assert!(nfa.is_empty());
         assert!(nfa.accepts([]));
         assert!(nfa.accepts([t(3)]));
-        assert_eq!(nfa.match_positions(&[]), Some(vec![]));
-    }
-
-    #[test]
-    fn match_positions_earliest() {
-        let nfa = Nfa::from_elements(&[t(0), t(1)]);
-        let evs = [t(0), t(0), t(1), t(1)];
-        assert_eq!(nfa.match_positions(&evs), Some(vec![0, 2]));
-        assert_eq!(nfa.match_positions(&[t(1), t(1)]), None);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A [`Pattern`] here is a pattern *type* in the sense of Def. 2 — the
 //! specification "seq(e₁, …, eₘ)" that a query identifies — not a concrete
-//! instance. Instances are produced by the matcher as [`WindowMatch`](crate::matcher::WindowMatch)
-//! (see [`crate::matcher`]). Higher-level patterns built from lower-level
+//! instance. Instances are what the detectors report per window (see
+//! [`crate::detector`] and [`crate::incremental`]). Higher-level patterns built from lower-level
 //! ones are flattened to a single event sequence, as the paper prescribes:
 //! "any pattern can always be written in the form of a sequence of events".
 

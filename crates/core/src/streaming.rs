@@ -1053,28 +1053,68 @@ mod tests {
 
     #[test]
     fn engine_snapshot_round_trip_mid_stream() {
-        let mut s = streaming(PpmKind::Uniform { eps: eps(1.0) });
-        let mut rng = DpRng::seed_from(13);
-        s.push(&e(0, 1), &mut rng).unwrap();
-        s.push(&e(2, 15), &mut rng).unwrap(); // window 0 released, 1 open
-        let snap = s.snapshot();
-        let mut restored = StreamingEngine::restore(snap.clone()).unwrap();
-        assert_eq!(restored.snapshot(), snap, "snapshot is a fixed point");
-        // continuing from the same RNG position, both engines release
-        // bit-for-bit identically
-        let mut rng2 = DpRng::from_state(rng.state());
-        let a = s.push(&e(1, 27), &mut rng).unwrap();
-        let b = restored.push(&e(1, 27), &mut rng2).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            s.finish(&mut rng).unwrap(),
-            restored.finish(&mut rng2).unwrap()
-        );
-        let private = s.core().patterns().iter().next().unwrap().0;
-        assert_eq!(
-            s.budget_spent(private).value(),
-            restored.budget_spent(private).value()
-        );
+        use crate::codec::{ByteReader, ByteWriter, Wire};
+        for semantics in [
+            Semantics::Ordered,
+            Semantics::Conjunction,
+            Semantics::OrderedWithin(TimeDelta::from_millis(10)),
+        ] {
+            let engine = set_up_engine(PpmKind::Uniform { eps: eps(1.0) });
+            let config = StreamingConfig {
+                window_len: TimeDelta::from_millis(10),
+                semantics,
+            };
+            let mut s = StreamingEngine::from_engine(&engine, config).unwrap();
+            let mut rng = DpRng::seed_from(13);
+            s.push(&e(0, 1), &mut rng).unwrap();
+            s.push(&e(0, 12), &mut rng).unwrap(); // window 0 released, 1 open
+            s.push(&e(2, 15), &mut rng).unwrap();
+            let snap = s.snapshot();
+            // the open window's half-matched `priv` = seq(t0, t1) is in the
+            // snapshot: NFA progress when ordered, the events when timed,
+            // t0's presence bit when conjunctive
+            match semantics {
+                Semantics::Ordered => assert!(snap.detector.nfa_states.contains(&1)),
+                Semantics::OrderedWithin(_) => assert_eq!(snap.detector.timed.len(), 2),
+                Semantics::Conjunction => assert!(snap.detector.present.get(t(0))),
+            }
+
+            // through the checkpoint codec and back
+            let mut w = ByteWriter::new();
+            snap.encode(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            let decoded = EngineSnapshot::decode(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(decoded, snap, "{semantics:?}");
+
+            let mut restored = StreamingEngine::restore(decoded).unwrap();
+            assert_eq!(restored.snapshot(), snap, "snapshot is a fixed point");
+            // continuing from the same RNG position, both engines release
+            // bit-for-bit identically
+            let mut rng2 = DpRng::from_state(rng.state());
+            let mut released = Vec::new();
+            for ev in [e(1, 17), e(1, 27)] {
+                let a = s.push(&ev, &mut rng).unwrap();
+                let b = restored.push(&ev, &mut rng2).unwrap();
+                assert_eq!(a, b, "{semantics:?}");
+                released.extend(a);
+            }
+            // t1@17 completes `priv` in window 1 only because the snapshot
+            // carried t0@12
+            let key = AuditKey::trusted_boundary();
+            assert_eq!(released[0].index, 1);
+            assert!(released[0].audit().open(&key)[0], "{semantics:?}");
+            assert_eq!(
+                s.finish(&mut rng).unwrap(),
+                restored.finish(&mut rng2).unwrap()
+            );
+            let private = s.core().patterns().iter().next().unwrap().0;
+            assert_eq!(
+                s.budget_spent(private).value(),
+                restored.budget_spent(private).value()
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   and by [`RandomizedResponse::apply`].
 //! * **Word path** ([`FlipProb::threshold_u64`] +
 //!   [`DpRng::bernoulli_word`]): one raw `u64` draw per bit, compared
-//!   against the integer threshold `round(p · 2^64)`. The hot-path flip
+//!   against the integer threshold `ceil(p · 2^64)`. The hot-path flip
 //!   plan (`pdp_core::protect::FlipPlan`) draws in **probability-class
 //!   order**: event types are grouped by distinct flip probability at
 //!   setup; per released window, classes are visited in order of their
@@ -128,14 +128,16 @@ impl FlipProb {
     }
 
     /// The integer comparison threshold of the word sampling path:
-    /// a raw 64-bit draw below this value means "flip". Chosen so the
-    /// per-bit flip probability is `p` up to `2^-64` quantization
-    /// (`p = 1/2` maps to exactly `2^63`).
+    /// a raw 64-bit draw below this value means "flip". Rounded up, so the
+    /// realized flip probability is never below `p` and exceeds it by less
+    /// than `2^-64`: every `p > 0` flips with positive probability, which
+    /// is what the ledger charges ε for (`p = 1/2` maps to exactly `2^63`).
     #[inline]
     pub fn threshold_u64(self) -> u64 {
-        // p ≤ 1/2, so p · 2^64 ≤ 2^63 < 2^64: the conversion never
-        // saturates and is exact for dyadic p.
-        (self.0 * 18_446_744_073_709_551_616.0) as u64
+        // Scaling by 2^64 is exact in f64, and p ≤ 1/2 keeps the product
+        // ≤ 2^63 < 2^64, so the conversion never saturates. For
+        // p ≥ 2^-12 the product is already an integer.
+        (self.0 * 18_446_744_073_709_551_616.0).ceil() as u64
     }
 }
 
@@ -310,6 +312,24 @@ mod tests {
         let p = FlipProb::new(0.3).unwrap();
         let back = p.threshold_u64() as f64 / 2f64.powi(64);
         assert!((back - 0.3).abs() < 1e-15, "{back}");
+    }
+
+    #[test]
+    fn threshold_u64_never_rounds_a_charged_bit_to_zero() {
+        // ε = 50 gives p ≈ 2e-22, so p · 2^64 ≈ 0.0036: truncation would
+        // release the bit raw while the ledger charges a finite ε
+        let p = FlipProb::from_epsilon(eps(50.0));
+        assert!(p.epsilon().is_some());
+        assert!(p.threshold_u64() >= 1);
+        // the realized probability threshold / 2^64 is never below p
+        let scale = 2f64.powi(64);
+        let mut p = 0.5f64;
+        while p > 1e-30 {
+            let threshold = FlipProb::new(p).unwrap().threshold_u64();
+            assert!(threshold as f64 >= p * scale, "p = {p:e}");
+            assert!(threshold as f64 - p * scale < 1.0, "p = {p:e}");
+            p *= 0.37;
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example smart_home`
 
-use pdp_cep::{CepEngine, Pattern, Query, Semantics};
+use pdp_cep::{Detector, Pattern, PatternSet, Semantics};
 use pdp_core::{PpmKind, TrustedEngine, TrustedEngineConfig};
 use pdp_dp::{DpRng, Epsilon};
 use pdp_metrics::Alpha;
@@ -49,21 +49,23 @@ fn main() {
     println!("merged stream carries {} events", merged.len());
 
     // --- unprotected CEP: ordered sequence detection per 60 s window ------
-    let mut cep = CepEngine::new();
+    let mut patterns = PatternSet::new();
     let leave_home =
-        cep.add_pattern(Pattern::seq("leave-home", vec![door_open, hallway, door_close]).unwrap());
-    let cooking = cep.add_pattern(Pattern::single("cooking", kitchen));
-    cep.add_query(Query::pattern("left?", leave_home, Semantics::Ordered))
-        .unwrap();
-    cep.add_query(Query::pattern("cooking?", cooking, Semantics::Ordered))
-        .unwrap();
+        patterns.insert(Pattern::seq("leave-home", vec![door_open, hallway, door_close]).unwrap());
+    patterns.insert(Pattern::single("cooking", kitchen));
     let assigner = WindowAssigner::tumbling(TimeDelta::from_secs(60)).unwrap();
-    let unprotected = cep.run(&merged, &assigner).unwrap();
-    for (q, a) in cep.queries().iter().zip(&unprotected) {
-        println!("unprotected {:<9} → {:?}", q.name, a.answers);
+    let detector = Detector::new(patterns, Semantics::Ordered);
+    let unprotected = detector.detect_stream(&merged, &assigner);
+    let per_window = |id| -> Vec<bool> {
+        (0..unprotected.n_windows())
+            .map(|w| unprotected.get(w, id))
+            .collect()
+    };
+    for (id, pattern) in detector.patterns().iter() {
+        println!("unprotected {:<10} → {:?}", pattern.name(), per_window(id));
     }
     // window 0 (0–60 s): open → hallway → close  ⇒ leave-home detected
-    assert_eq!(unprotected[0].answers, vec![true, false, true, false]);
+    assert_eq!(per_window(leave_home), vec![true, false, true, false]);
 
     // --- protected service through the trusted engine ---------------------
     let mut engine = TrustedEngine::new(TrustedEngineConfig {

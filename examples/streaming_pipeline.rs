@@ -1,14 +1,13 @@
 //! The full streaming service path: late events → reorder buffer → the
 //! push-based [`StreamingEngine`] — incremental detection, randomized
 //! response at window close, per-release budget accounting, and consumer
-//! answers computed on the protected view only. Queries are written in the
-//! textual DSL.
+//! answers computed on the protected view only.
 //!
 //! Run with: `cargo run --example streaming_pipeline`
 //!
 //! [`StreamingEngine`]: pattern_dp_repro::core::StreamingEngine
 
-use pattern_dp_repro::cep::{parse_query, PatternSet, QueryExpr};
+use pattern_dp_repro::cep::{Pattern, Semantics};
 use pattern_dp_repro::core::{
     Answer, PpmKind, StreamingConfig, StreamingEngine, TrustedEngine, TrustedEngineConfig,
 };
@@ -17,32 +16,16 @@ use pattern_dp_repro::metrics::{Alpha, AuditKey, ConfusionMatrix};
 use pattern_dp_repro::stream::{Event, ReorderBuffer, TimeDelta, Timestamp, TypeRegistry};
 
 fn main() {
-    let types = TypeRegistry::new();
-    let mut patterns = PatternSet::new();
+    let types =
+        TypeRegistry::with_names(["badge.exit", "corridor.motion", "hvac.on", "room.motion"]);
+    let badge = types.get("badge.exit").unwrap();
+    let corridor = types.get("corridor.motion").unwrap();
+    let hvac = types.get("hvac.on").unwrap();
+    let room = types.get("room.motion").unwrap();
 
-    // 1. Setup phase (§III-A): queries arrive as text. The data subject
-    //    declares the private pattern; the consumer registers a target.
-    let private_q = parse_query(
-        "private",
-        "SEQ(badge.exit, corridor.motion) WITHIN 30s",
-        &types,
-        &mut patterns,
-    )
-    .expect("private query parses");
-    let target_q = parse_query("target", "ALL(hvac.on, room.motion)", &types, &mut patterns)
-        .expect("target query parses");
-    let QueryExpr::Pattern(private_id) = private_q.expr else {
-        unreachable!("single-pattern query")
-    };
-    let QueryExpr::Pattern(target_id) = target_q.expr else {
-        unreachable!("single-pattern query")
-    };
-    println!(
-        "registered {} event types, {} patterns",
-        types.len(),
-        patterns.len()
-    );
-
+    // 1. Setup phase (§III-A): the data subject declares the private
+    //    pattern "badge exit, then corridor motion"; the consumer registers
+    //    a target on "hvac on and room motion".
     let mut engine = TrustedEngine::new(TrustedEngineConfig {
         n_types: types.len(),
         alpha: Alpha::HALF,
@@ -50,20 +33,24 @@ fn main() {
             eps: Epsilon::new(2.0).unwrap(),
         },
     });
-    let registered_private =
-        engine.register_private_pattern(patterns.get(private_id).unwrap().clone());
-    let (query, _) =
-        engine.register_target_query("hvac+room?", patterns.get(target_id).unwrap().clone());
+    let private_id =
+        engine.register_private_pattern(Pattern::seq("left-desk", vec![badge, corridor]).unwrap());
+    let (query, target_id) = engine.register_target_query(
+        "hvac+room?",
+        Pattern::seq("hvac+room", vec![hvac, room]).unwrap(),
+    );
     engine.setup().expect("setup completes");
+    println!("registered {} event types", types.len());
 
     // 2. Go online: the streaming engine consumes events one at a time and
-    //    releases protected windows every 60 s. The private query's
-    //    WITHIN-constrained semantics drive the raw detection side-channel.
+    //    releases protected windows every 60 s. The private pattern must
+    //    complete within 30 s; that semantics drives the raw detection
+    //    side-channel.
     let mut streaming = StreamingEngine::from_engine(
         &engine,
         StreamingConfig {
             window_len: TimeDelta::from_secs(60),
-            semantics: private_q.semantics,
+            semantics: Semantics::OrderedWithin(TimeDelta::from_secs(30)),
         },
     )
     .expect("streaming engine builds");
@@ -72,10 +59,6 @@ fn main() {
     // 3. Raw arrivals, out of order (gateway batching): the reorder buffer
     //    releases them ordered under a 5 s watermark delay, and they flow
     //    straight into the engine.
-    let badge = types.get("badge.exit").unwrap();
-    let corridor = types.get("corridor.motion").unwrap();
-    let hvac = types.get("hvac.on").unwrap();
-    let room = types.get("room.motion").unwrap();
     let arrivals = vec![
         Event::new(badge, Timestamp::from_secs(3)),
         Event::new(hvac, Timestamp::from_secs(1)), // late by 2 s
@@ -156,12 +139,11 @@ fn main() {
     // 5. The ledger recorded one ε = 2.0 release per closed window.
     println!(
         "budget spent on the private pattern: {} over {} releases",
-        streaming.budget_spent(registered_private),
+        streaming.budget_spent(private_id),
         streaming.releases()
     );
     assert!(
-        (streaming.budget_spent(registered_private).value() - 2.0 * streaming.releases() as f64)
-            .abs()
+        (streaming.budget_spent(private_id).value() - 2.0 * streaming.releases() as f64).abs()
             < 1e-12
     );
 }

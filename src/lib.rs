@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`stream`] | `pdp-stream` | events, streams, windows, indicators |
-//! | [`cep`] | `pdp-cep` | patterns, queries, NFA matching, detection |
+//! | [`cep`] | `pdp-cep` | patterns, semantics, NFA matching, batch + incremental detection |
 //! | [`dp`] | `pdp-dp` | randomized response, Laplace, budgets |
 //! | [`core`] | `pdp-core` | pattern-level DP, uniform/adaptive PPMs, trusted engine |
 //! | [`baselines`] | `pdp-baselines` | BD, BA, landmark, event-level, full-stream RR |
@@ -33,7 +33,7 @@ pub use pdp_stream as stream;
 
 /// The names most programs start from.
 pub mod prelude {
-    pub use pdp_cep::{Pattern, PatternId, PatternSet, Query, Semantics};
+    pub use pdp_cep::{Pattern, PatternId, PatternSet, Semantics};
     pub use pdp_core::{
         KeyedEvent, Mechanism, PpmKind, ProtectionPipeline, ServiceBuilder, ServiceConfig,
         ShardedService, StreamingConfig, StreamingEngine, SubjectId, TrustedEngine,
