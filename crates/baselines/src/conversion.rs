@@ -18,7 +18,7 @@
 //!   publication, i.e. `ε_w / 4` for the first, so `ε_w = 4ε/m̄`;
 //! * **full-stream RR** gives every type `ε/m̄` directly;
 //! * **landmark privacy** receives `share·ε_conv / L` per landmark type and
-//!   solves `m̄ · share·ε_conv / L = ε` (see [`crate::landmark`]).
+//!   solves `m̄ · share·ε_conv / L = ε` (see [`crate::LandmarkPrivacy`]).
 //!
 //! `m̄` is the mean private-pattern length. The direction of the paper's
 //! comparison is insensitive to constant factors in this choice (checked by

@@ -3,15 +3,17 @@
 //! The comparison mechanisms of the paper's evaluation, re-implemented from
 //! their original papers:
 //!
-//! * [`bd`] — **Budget Distribution** (w-event DP, Kellaris et al. VLDB'14):
-//!   half the budget funds per-timestamp dissimilarity tests, half funds
-//!   publications with exponentially decaying shares;
-//! * [`ba`] — **Budget Absorption** (same paper): uniform pre-allocation,
-//!   skipped timestamps' budgets absorbed by the next publication;
-//! * [`landmark`] — **Landmark Privacy** (Katsomallos et al. CODASPY'22):
-//!   timestamps carrying private-pattern events are landmarks; *all* events
-//!   at landmark timestamps are perturbed;
-//! * [`full_rr`] — whole-stream randomized response (ablation reference);
+//! * [`BudgetDistributionMechanism`] — **Budget Distribution** (w-event
+//!   DP, Kellaris et al. VLDB'14): half the budget funds per-timestamp
+//!   dissimilarity tests, half funds publications with exponentially
+//!   decaying shares;
+//! * [`BudgetAbsorption`] — **Budget Absorption** (same paper): uniform
+//!   pre-allocation, skipped timestamps' budgets absorbed by the next
+//!   publication;
+//! * [`LandmarkPrivacy`] — **Landmark Privacy** (Katsomallos et al.
+//!   CODASPY'22): timestamps carrying private-pattern events are
+//!   landmarks; *all* events at landmark timestamps are perturbed;
+//! * [`FullStreamRr`] — whole-stream randomized response (ablation reference);
 //! * [`conversion`] — budget conversion to pattern-level ε, "achieved by
 //!   aggregating the original privacy budgets related to the predefined
 //!   private pattern types".
@@ -19,13 +21,13 @@
 //! All baselines implement [`pdp_core::Mechanism`], so the experiment
 //! harness sweeps them interchangeably with the pattern-level PPMs.
 
-pub mod ba;
-pub mod bd;
+mod ba;
+mod bd;
 pub mod conversion;
-pub mod event_level;
-pub mod full_rr;
-pub mod landmark;
-pub mod user_level;
+mod event_level;
+mod full_rr;
+mod landmark;
+mod user_level;
 
 pub use ba::BudgetAbsorption;
 pub use bd::BudgetDistributionMechanism;

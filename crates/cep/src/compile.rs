@@ -15,31 +15,28 @@ use crate::query::Semantics;
 
 /// A compiled pattern ready for per-window evaluation.
 #[derive(Debug, Clone)]
-pub struct CompiledPattern {
-    /// The pattern's id in its set.
-    pub id: PatternId,
+pub(crate) struct CompiledPattern {
     /// NFA for ordered semantics.
-    pub nfa: Nfa,
+    pub(crate) nfa: Nfa,
     /// Distinct element types for conjunction semantics.
-    pub distinct: Vec<EventType>,
+    pub(crate) distinct: Vec<EventType>,
 }
 
 /// All patterns of a set, compiled.
 #[derive(Debug, Clone, Default)]
-pub struct CompiledSet {
+pub(crate) struct CompiledSet {
     compiled: HashMap<PatternId, CompiledPattern>,
 }
 
 impl CompiledSet {
     /// Compile every pattern in `set`.
-    pub fn compile(set: &PatternSet) -> Self {
+    pub(crate) fn compile(set: &PatternSet) -> Self {
         let compiled = set
             .iter()
             .map(|(id, p)| {
                 (
                     id,
                     CompiledPattern {
-                        id,
                         nfa: Nfa::from_elements(p.elements()),
                         distinct: p.distinct_types().into_iter().collect(),
                     },
@@ -50,23 +47,13 @@ impl CompiledSet {
     }
 
     /// The compiled form of one pattern.
-    pub fn get(&self, id: PatternId) -> Option<&CompiledPattern> {
+    pub(crate) fn get(&self, id: PatternId) -> Option<&CompiledPattern> {
         self.compiled.get(&id)
-    }
-
-    /// Number of compiled patterns.
-    pub fn len(&self) -> usize {
-        self.compiled.len()
-    }
-
-    /// True when no patterns are compiled.
-    pub fn is_empty(&self) -> bool {
-        self.compiled.is_empty()
     }
 
     /// Evaluate one pattern against a window's timestamped events (in
     /// temporal order), honouring span constraints.
-    pub fn detect_timed(
+    pub(crate) fn detect_timed(
         &self,
         id: PatternId,
         window: &[(EventType, pdp_stream::Timestamp)],
@@ -159,8 +146,8 @@ mod tests {
         set.insert(Pattern::single("a", t(0)));
         set.insert(Pattern::single("b", t(1)));
         let cs = CompiledSet::compile(&set);
-        assert_eq!(cs.len(), 2);
         assert!(cs.get(PatternId(0)).is_some());
+        assert!(cs.get(PatternId(1)).is_some());
         assert!(cs.get(PatternId(2)).is_none());
     }
 

@@ -20,20 +20,19 @@
 //! [`IncrementalDetector`] is the online form the release path runs;
 //! [`Detector`] is the batch reference it is checked against.
 
-pub mod compile;
-pub mod detector;
-pub mod error;
-pub mod incremental;
-pub mod matcher;
-pub mod nfa;
-pub mod pattern;
-pub mod query;
+mod compile;
+mod detector;
+mod error;
+mod incremental;
+mod matcher;
+mod nfa;
+mod pattern;
+mod query;
 
-pub use compile::{CompiledPattern, CompiledSet};
 pub use detector::{DetectionTable, Detector};
 pub use error::CepError;
 pub use incremental::{ClosedWindow, DetectorSnapshot, IncrementalDetector, PreparedPatternSwap};
-pub use matcher::{match_indicator, match_mask};
-pub use nfa::Nfa;
+pub use matcher::match_indicator;
+
 pub use pattern::{Pattern, PatternId, PatternSet};
 pub use query::{QueryId, Semantics};

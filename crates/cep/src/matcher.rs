@@ -4,8 +4,8 @@
 //! erases event multiplicity and order for perturbed types, which is why
 //! the paper's mechanisms, and the conjunction semantics, operate on
 //! indicators. Matching over raw, timestamped window events (all three
-//! [`Semantics`](crate::Semantics)) is
-//! [`CompiledSet::detect_timed`](crate::CompiledSet::detect_timed).
+//! [`Semantics`](crate::Semantics)) is what [`Detector`](crate::Detector)
+//! and [`IncrementalDetector`](crate::IncrementalDetector) do.
 
 use pdp_stream::IndicatorVector;
 
@@ -16,21 +16,15 @@ use crate::pattern::Pattern;
 ///
 /// This is the convenience form; it walks the pattern's distinct types per
 /// call. Hot paths should precompile the pattern once with
-/// [`Pattern::type_mask`] and use [`match_mask`] — a branch-free word-level
-/// subset test with no per-release pattern walk.
+/// [`Pattern::type_mask`] and use [`TypeMask::matches`] — a branch-free
+/// word-level subset test with no per-release pattern walk.
+///
+/// [`TypeMask::matches`]: pdp_stream::TypeMask::matches
 pub fn match_indicator(pattern: &Pattern, indicators: &IndicatorVector) -> bool {
     pattern
         .distinct_types()
         .iter()
         .all(|&ty| indicators.get(ty))
-}
-
-/// Match a precompiled [`pdp_stream::TypeMask`] against a window's indicator vector:
-/// the word-parallel form of [`match_indicator`]
-/// (`mask & window == mask`).
-#[inline]
-pub fn match_mask(mask: &pdp_stream::TypeMask, indicators: &IndicatorVector) -> bool {
-    mask.matches(indicators)
 }
 
 #[cfg(test)]
@@ -63,7 +57,7 @@ mod tests {
         ];
         let iv = IndicatorVector::from_present(window.iter().map(|e| e.ty), 3);
         assert!(match_indicator(&p, &iv));
-        assert!(match_mask(&p.type_mask(3), &iv));
+        assert!(p.type_mask(3).matches(&iv));
     }
 
     #[test]
@@ -71,7 +65,7 @@ mod tests {
         let p = Pattern::seq("p", vec![t(0), t(1), t(2)]).unwrap();
         let iv = IndicatorVector::from_present([t(0), t(2)], 3);
         assert!(!match_indicator(&p, &iv));
-        assert!(!match_mask(&p.type_mask(3), &iv));
+        assert!(!p.type_mask(3).matches(&iv));
     }
 
     #[test]
@@ -79,6 +73,6 @@ mod tests {
         let p = Pattern::single("p", t(0));
         let iv = IndicatorVector::empty(3);
         assert!(!match_indicator(&p, &iv));
-        assert!(!match_mask(&p.type_mask(3), &iv));
+        assert!(!p.type_mask(3).matches(&iv));
     }
 }

@@ -10,27 +10,17 @@ use pdp_stream::EventType;
 
 /// A compiled linear NFA for one sequence pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Nfa {
+pub(crate) struct Nfa {
     /// The event type labelling the transition out of each state.
     steps: Vec<EventType>,
 }
 
 impl Nfa {
     /// Compile from a pattern's ordered elements.
-    pub fn from_elements(elements: &[EventType]) -> Self {
+    pub(crate) fn from_elements(elements: &[EventType]) -> Self {
         Nfa {
             steps: elements.to_vec(),
         }
-    }
-
-    /// Number of non-accepting states (= pattern length).
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True for the degenerate zero-step NFA (accepts immediately).
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
     }
 
     /// Run over a window's event types (in temporal order); `true` if an
@@ -39,7 +29,7 @@ impl Nfa {
     /// Because the NFA is linear with skip-self-loops, greedy earliest-match
     /// advancement is complete: if any accepting run exists, the greedy run
     /// accepts. This makes detection `O(window length)`.
-    pub fn accepts<I>(&self, events: I) -> bool
+    pub(crate) fn accepts<I>(&self, events: I) -> bool
     where
         I: IntoIterator<Item = EventType>,
     {
@@ -67,7 +57,7 @@ impl Nfa {
     /// feasible prefixes of length `k + 1` seen so far. When an event
     /// completes the pattern, `ts − dp[m−1]` is the tightest span ending
     /// there. `O(n·m)` time, `O(m)` space.
-    pub fn min_span(
+    pub(crate) fn min_span(
         &self,
         events: &[(EventType, pdp_stream::Timestamp)],
     ) -> Option<pdp_stream::TimeDelta> {
@@ -101,7 +91,7 @@ impl Nfa {
 
     /// The state reached after consuming `events` (for incremental
     /// detection across window fragments).
-    pub fn advance(&self, state: usize, events: &[EventType]) -> usize {
+    pub(crate) fn advance(&self, state: usize, events: &[EventType]) -> usize {
         let mut s = state.min(self.steps.len());
         for &ty in events {
             if s == self.steps.len() {
@@ -115,7 +105,7 @@ impl Nfa {
     }
 
     /// True if `state` is accepting.
-    pub fn is_accepting(&self, state: usize) -> bool {
+    pub(crate) fn is_accepting(&self, state: usize) -> bool {
         state >= self.steps.len()
     }
 }
@@ -150,7 +140,6 @@ mod tests {
     #[test]
     fn empty_nfa_accepts_everything() {
         let nfa = Nfa::from_elements(&[]);
-        assert!(nfa.is_empty());
         assert!(nfa.accepts([]));
         assert!(nfa.accepts([t(3)]));
     }

@@ -92,8 +92,8 @@ impl Pattern {
 
     /// Precompile the distinct types into a bit-packed mask over a
     /// universe of `n_types` — the setup-phase form consumed by
-    /// [`match_mask`](crate::matcher::match_mask) so releases match
-    /// without walking the pattern.
+    /// [`TypeMask::matches`](pdp_stream::TypeMask::matches) so releases
+    /// match without walking the pattern.
     pub fn type_mask(&self, n_types: usize) -> pdp_stream::TypeMask {
         pdp_stream::TypeMask::from_types(self.elements.iter().copied(), n_types)
     }
@@ -109,17 +109,6 @@ impl Pattern {
     pub fn overlaps(&self, other: &Pattern) -> bool {
         let mine = self.distinct_types();
         other.elements.iter().any(|t| mine.contains(t))
-    }
-
-    /// The event types shared with `other`.
-    pub fn shared_types(&self, other: &Pattern) -> BTreeSet<EventType> {
-        let mine = self.distinct_types();
-        other
-            .elements
-            .iter()
-            .copied()
-            .filter(|t| mine.contains(t))
-            .collect()
     }
 }
 
@@ -194,14 +183,6 @@ impl PatternSet {
     pub fn containing(&self, ty: EventType) -> &[PatternId] {
         self.by_type.get(&ty).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// The union of distinct event types across all patterns.
-    pub fn type_universe(&self) -> BTreeSet<EventType> {
-        self.patterns
-            .iter()
-            .flat_map(|p| p.distinct_types())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -252,8 +233,6 @@ mod tests {
         let c = Pattern::seq("c", vec![t(3)]).unwrap();
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
-        assert_eq!(a.shared_types(&b).into_iter().collect::<Vec<_>>(), [t(1)]);
-        assert!(a.shared_types(&c).is_empty());
     }
 
     #[test]
@@ -272,7 +251,6 @@ mod tests {
         assert_eq!(set.containing(t(1)), &[a, b]);
         assert_eq!(set.containing(t(0)), &[a]);
         assert!(set.containing(t(9)).is_empty());
-        assert_eq!(set.type_universe().len(), 3);
         assert_eq!(set.get(a).unwrap().name(), "a");
         assert!(set.get(PatternId(9)).is_none());
     }

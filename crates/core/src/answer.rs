@@ -70,26 +70,10 @@ impl Answer {
         }
     }
 
-    /// The `Bool` payload, if this is a boolean answer.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Answer::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The `Count` payload, if this is a count answer.
     pub fn as_count(&self) -> Option<usize> {
         match self {
             Answer::Count(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The label payload of `Categorical` / `Argmax` answers.
-    pub fn as_label(&self) -> Option<&str> {
-        match self {
-            Answer::Categorical(l) | Answer::Argmax(l) => Some(l),
             _ => None,
         }
     }
@@ -240,7 +224,7 @@ impl Query for ArgmaxQuery {
 
 /// Upper bound on `Categorical` options / `Argmax` candidates per query:
 /// trailing hit histories are packed into one `u64` word per window.
-pub const MAX_QUERY_CANDIDATES: usize = 64;
+const MAX_QUERY_CANDIDATES: usize = 64;
 
 /// One epoch's compiled form of a [`QuerySpec`]: pattern references
 /// resolved to word-level [`TypeMask`]s, the exponential mechanism
@@ -489,10 +473,8 @@ mod tests {
         assert!(!Answer::Count(0).truthy());
         assert!(Answer::Count(2).truthy());
         assert!(Answer::Categorical("x".into()).truthy());
-        assert_eq!(Answer::Bool(true).as_bool(), Some(true));
         assert_eq!(Answer::Count(3).as_count(), Some(3));
-        assert_eq!(Answer::Argmax("y".into()).as_label(), Some("y"));
-        assert_eq!(Answer::Count(3).as_label(), None);
+        assert_eq!(Answer::Bool(true).as_count(), None);
         assert_eq!(Answer::Categorical("busy".into()).to_string(), "busy");
         assert_eq!(Answer::Count(7).to_string(), "7");
     }

@@ -614,28 +614,6 @@ impl ControlPlane {
         self.by_dense.len()
     }
 
-    /// Whether `subject` is registered and not retired — with its dense
-    /// index when so. One probe for the service's route-table rebuilds.
-    pub fn active_dense_index(&self, subject: SubjectId) -> Option<u32> {
-        self.subjects
-            .get(&subject)
-            .filter(|s| !s.retired)
-            .map(|s| s.dense)
-    }
-
-    /// True if `subject` ever registered `pattern` (revoked ones
-    /// included — the spend they accrued stays queryable).
-    pub fn owns_pattern(&self, subject: SubjectId, pattern: PatternId) -> bool {
-        self.subjects
-            .get(&subject)
-            .is_some_and(|s| s.patterns.contains(&pattern))
-    }
-
-    /// True if `subject` is registered (retired or not).
-    pub fn knows_subject(&self, subject: SubjectId) -> bool {
-        self.subjects.contains_key(&subject)
-    }
-
     /// The history the next adaptive compile optimizes against: the
     /// explicitly granted windows (never truncated) followed by the
     /// bounded sliding history of released windows. `None` when neither
@@ -820,7 +798,6 @@ mod tests {
         assert_eq!(plan.epoch, 1);
         // ids survive deactivation: the registry still resolves them …
         assert!(cp.patterns().get(p0).is_some());
-        assert!(cp.owns_pattern(SubjectId(1), p0));
         // … but the plan no longer protects, charges or answers them
         assert_eq!(cp.active_private(), vec![p1]);
         assert!(plan.core.queries().is_empty());
@@ -843,7 +820,6 @@ mod tests {
         let plan = cp.compile_next().unwrap();
         assert!(plan.charges.is_empty());
         assert!(cp.active_subjects().is_empty());
-        assert!(cp.knows_subject(SubjectId(1)));
         // re-registration re-activates the tenant and their patterns
         cp.register_subject(SubjectId(1));
         let plan = cp.compile_next().unwrap();

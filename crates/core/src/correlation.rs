@@ -62,7 +62,7 @@ pub fn lift(windows: &WindowedIndicators, a: EventType, b: EventType) -> f64 {
 
 /// Lift of an event type against a private pattern's *occurrence*
 /// (conjunction of its elements) over historical windows.
-pub fn pattern_lift(
+fn pattern_lift(
     windows: &WindowedIndicators,
     patterns: &PatternSet,
     pattern: PatternId,

@@ -84,19 +84,6 @@ impl BudgetDistribution {
     pub fn with_shares(&self, shares: Vec<Epsilon>) -> Result<Self, CoreError> {
         Self::from_shares(self.total, shares)
     }
-
-    /// Largest share.
-    pub fn max_share(&self) -> Epsilon {
-        self.shares
-            .iter()
-            .copied()
-            .fold(Epsilon::ZERO, Epsilon::max)
-    }
-
-    /// Smallest share.
-    pub fn min_share(&self) -> Epsilon {
-        self.shares.iter().copied().fold(self.total, Epsilon::min)
-    }
 }
 
 #[cfg(test)]
@@ -147,13 +134,6 @@ mod tests {
         for p in d.flip_probs() {
             assert!((p.value() - 0.5).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn min_max_shares() {
-        let d = BudgetDistribution::from_shares(eps(1.0), vec![eps(0.2), eps(0.8)]).unwrap();
-        assert!((d.max_share().value() - 0.8).abs() < 1e-12);
-        assert!((d.min_share().value() - 0.2).abs() < 1e-12);
     }
 
     #[test]

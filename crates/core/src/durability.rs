@@ -853,8 +853,11 @@ impl WalWriter {
     }
 
     /// Reopen an existing WAL for appending. Scans the record stream and
-    /// positions after the last *complete* record, so a torn tail from a
-    /// crash mid-append is overwritten by the next append. Mid-log
+    /// positions after the last *complete* record. A torn tail from a
+    /// crash mid-append is cut off (and the cut synced) before anything
+    /// is appended: a short record written over a longer torn one would
+    /// otherwise leave the torn frame's remainder behind it, which the
+    /// next scan reads as a frame with a bogus sequence number. Mid-log
     /// corruption (a bad checksum or sequence before the tail) is refused
     /// with a typed error — appending after it would launder the damage.
     pub fn open_append(path: &Path) -> Result<Self, CoreError> {
@@ -867,6 +870,12 @@ impl WalWriter {
             .write(true)
             .open(path)
             .map_err(|e| io_err("open wal", e))?;
+        if bytes.len() as u64 > scan.end {
+            file.set_len(scan.end)
+                .map_err(|e| io_err("truncate torn wal tail", e))?;
+            file.sync_data()
+                .map_err(|e| io_err("sync truncated wal", e))?;
+        }
         file.seek(SeekFrom::Start(scan.end))
             .map_err(|e| io_err("seek wal", e))?;
         Ok(WalWriter {
@@ -1050,11 +1059,23 @@ fn decode_frames(
 /// interrupted, whose operation is not part of the recovered history.
 /// Mid-log corruption (checksum or sequence violations) is a typed
 /// error; use [`recover_wal_prefix`] to salvage the valid prefix.
+///
+/// A log whose complete records end before `from` is a typed error too:
+/// the checkpoint that recorded `from` outlived records the log lost, and
+/// appending below `from` would file every later record where a
+/// recovery from that checkpoint silently skips it.
 pub fn read_wal_from(path: &Path, from: u64) -> Result<Vec<WalRecord>, CoreError> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read wal", e))?;
     let scan = scan_wal(&bytes)?;
     if let Some(anomaly) = scan.anomaly {
         return Err(durability_err(anomaly));
+    }
+    if scan.end < from {
+        return Err(durability_err(format!(
+            "wal ends at offset {} before the checkpoint's offset {from}: \
+             the log lost records the checkpoint covers",
+            scan.end
+        )));
     }
     decode_frames(&bytes, &scan.frames, from)
 }
@@ -1225,6 +1246,33 @@ mod tests {
             read_wal_from(&path, complete).unwrap(),
             vec![WalRecord::Finish]
         );
+
+        // A torn tail longer than the record appended after the restart:
+        // the leftover of the torn frame must not survive behind it, or
+        // the next scan reads a frame out of the torn payload.
+        let mut wal = WalWriter::create(&path).unwrap();
+        wal.append(&WalRecord::Watermark(Timestamp::from_millis(10)))
+            .unwrap();
+        let complete = wal.offset();
+        let batch: Vec<KeyedEvent> = (0..64)
+            .map(|i| KeyedEvent::new(SubjectId(i), Event::new(t(i as u32), Timestamp::ZERO)))
+            .collect();
+        wal.append_batch(&batch).unwrap();
+        let torn_at = wal.offset() - 40;
+        drop(wal);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..torn_at as usize]).unwrap();
+        let mut wal = WalWriter::open_append(&path).unwrap();
+        assert_eq!(wal.offset(), complete);
+        wal.append(&WalRecord::Finish).unwrap();
+        drop(wal);
+        let expected = vec![
+            WalRecord::Watermark(Timestamp::from_millis(10)),
+            WalRecord::Finish,
+        ];
+        assert_eq!(read_wal_from(&path, 0).unwrap(), expected);
+        let reopened = WalWriter::open_append(&path).unwrap();
+        assert_eq!(reopened.offset(), std::fs::metadata(&path).unwrap().len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

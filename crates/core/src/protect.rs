@@ -177,7 +177,7 @@ impl FlipTable {
 /// plan.
 ///
 /// **Rebuilds.** A plan is immutable; reconfiguration never mutates one
-/// in place. The dynamic control plane ([`crate::control`]) compiles a
+/// in place. The dynamic control plane ([`crate::ControlPlane`]) compiles a
 /// *fresh* table + plan per epoch and swaps it into every engine at one
 /// activation window, so the draw sequence stays a pure function of
 /// (compiled plan, window) across churn.

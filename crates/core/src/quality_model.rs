@@ -149,11 +149,6 @@ impl QualityModel {
         self.alpha
     }
 
-    /// Number of target patterns scored.
-    pub fn n_targets(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Closed-form expected quality under `table`.
     pub fn expected_quality(&self, table: &FlipTable) -> QualityReport {
         let mut conf = FractionalConfusion::new();
@@ -376,7 +371,6 @@ mod tests {
         let (w, mut set, mut targets) = fixture();
         targets.push(set.insert(Pattern::single("solo", t(2))));
         let model = QualityModel::new(w, &set, &targets, Alpha::HALF).unwrap();
-        assert_eq!(model.n_targets(), 2);
         // identity still perfect with several targets
         assert!((model.baseline_quality().q - 1.0).abs() < 1e-12);
     }

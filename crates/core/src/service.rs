@@ -1350,95 +1350,6 @@ fn default_parallel(n_shards: usize) -> bool {
     n_shards > 1 && cores > 1
 }
 
-impl Clone for ShardedService {
-    /// Clones shard state (buffers, engines, RNGs, accumulators) into
-    /// fresh `Arc`s and spawns a fresh worker pool when the recorded mode
-    /// is parallel (never re-derived from the host). The pipeline must be
-    /// quiescent: in-flight jobs reference state that cannot be cloned
-    /// mid-round. An attached [`WalWriter`] is **not** cloned — a log file
-    /// has one writer; the copy starts without durability.
-    ///
-    /// # Panics
-    /// If rounds are still in flight — call [`ShardedService::sync`]
-    /// first, or use the non-panicking [`ShardedService::try_clone`].
-    fn clone(&self) -> Self {
-        assert!(
-            self.pending.is_empty(),
-            "clone requires a quiescent pipeline: call sync() before clone()"
-        );
-        let shards: Vec<Arc<Mutex<Shard>>> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().unwrap_or_else(|p| p.into_inner());
-                Arc::new(Mutex::new(shard.clone()))
-            })
-            .collect();
-        let workers = if self.parallel {
-            shards
-                .iter()
-                .map(|s| WorkerHandle::spawn(s.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let (fill, spare) = partition_buffers(self.shards.len());
-        ShardedService {
-            shards,
-            workers,
-            parallel: self.parallel,
-            meta: self.meta.clone(),
-            shard_charges: self.shard_charges.clone(),
-            routes: self.routes.clone(),
-            ledgers: self.ledgers.clone(),
-            query_ledger: self.query_ledger.clone(),
-            merge: self.merge.clone(),
-            cores_by_epoch: self.cores_by_epoch.clone(),
-            query_charges_by_epoch: self.query_charges_by_epoch.clone(),
-            merged_state: self.merged_state.clone(),
-            control: self.control.clone(),
-            activations: self.activations.clone(),
-            pending: VecDeque::new(),
-            outbox: self
-                .outbox
-                .iter()
-                .map(|d| match d {
-                    Delivery::Shard(r) => Delivery::Shard(r.clone()),
-                    Delivery::Answer(a) => Delivery::Answer(a.clone()),
-                    Delivery::Merged(m) => Delivery::Merged(m.clone()),
-                })
-                .collect(),
-            deferred: None,
-            fill,
-            spare,
-            route_scratch: Vec::new(),
-            round_pool: Vec::new(),
-            settle_scratch: Vec::new(),
-            merged_scratch: Vec::new(),
-            wrapper_sink: VecSink::subscribed([]),
-            n_types: self.n_types,
-            max_delay: self.max_delay,
-            events_ingested: self.events_ingested,
-            finished: self.finished,
-            wal: None,
-            config: self.config.clone(),
-            // policy and heal history travel with the copy; the scripted
-            // injector does not — chaos targets one service instance
-            supervisor: self.supervisor.clone(),
-            injector: None,
-            rounds_submitted: self.rounds_submitted,
-            poison_next: vec![false; self.shards.len()],
-            needs_respawn: vec![false; self.shards.len()],
-            rebuilt: vec![false; self.shards.len()],
-            heals: self.heals.clone(),
-            heal_log: self.heal_log.clone(),
-            degraded: self.degraded,
-            wal_retries: self.wal_retries,
-            wal_appends: self.wal_appends,
-        }
-    }
-}
-
 impl ShardedService {
     /// The deterministic subject → shard assignment (splitmix64 of the
     /// subject id, reduced modulo `n_shards`). Stable across runs and Rust
@@ -2217,7 +2128,7 @@ impl ShardedService {
     /// Enable supervision: dead workers are healed in place, WAL appends
     /// are retried, and the service degrades to inline execution instead
     /// of failing terminally once a shard's heal budget is exhausted. See
-    /// [`crate::supervision`] for the healing contract. Without a
+    /// [`SupervisorConfig`] for the healing contract. Without a
     /// supervisor the service keeps its historical fail-fast behavior.
     pub fn set_supervisor(&mut self, config: SupervisorConfig) {
         self.supervisor = Some(config);
@@ -2503,15 +2414,6 @@ impl ShardedService {
         self.take_deferred()
     }
 
-    /// Non-panicking [`Clone`]: drains the pipeline first (so in-flight
-    /// rounds settle instead of tripping the quiescence assertion), then
-    /// clones. Surfaces any deferred error instead of hiding it in the
-    /// copy. The attached WAL, if any, stays with `self`.
-    pub fn try_clone(&mut self) -> Result<Self, CoreError> {
-        self.sync()?;
-        Ok(self.clone())
-    }
-
     /// Attach a write-ahead log: from now on every accepted input is
     /// journaled per the module-level crash consistency contract.
     /// Replaces (and returns) a previously attached writer.
@@ -2626,6 +2528,11 @@ impl ShardedService {
                 })
                 .collect(),
         };
+        // the image must not point past what the log has made durable: a
+        // power loss could keep the fsynced image and drop the WAL tail
+        if let Some(wal) = self.wal.as_mut() {
+            wal.sync()?;
+        }
         Ok(ServiceCheckpoint {
             parallel: self.parallel,
             shards,
@@ -2840,7 +2747,9 @@ impl ShardedService {
     /// [`ServiceCheckpoint::wal_offset`]) through the normal entry points
     /// — delivering the re-derived releases into `sink` — and re-attach
     /// the log for appending (positioned after its last complete record,
-    /// so a torn tail from the crash is overwritten).
+    /// so a torn tail from the crash is cut off). A log whose complete
+    /// records end before the checkpoint's offset is refused with
+    /// [`CoreError::Durability`].
     ///
     /// The recovered service is bit-for-bit the uninterrupted one: same
     /// deliveries, same ledger spends, same low watermark
@@ -3410,35 +3319,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_replays_identically() {
-        let mut svc = builder(2).build().unwrap();
-        svc.push_batch(vec![ke(1, 0, 5), ke(2, 3, 6)]).unwrap();
-        svc.sync().unwrap();
-        let mut copy = svc.clone();
-        let a = svc.advance_watermark(Timestamp::from_millis(80)).unwrap();
-        let b = copy.advance_watermark(Timestamp::from_millis(80)).unwrap();
-        assert_eq!(a, b, "clone carries RNG and merge state");
-        assert_eq!(svc.finish().unwrap(), copy.finish().unwrap());
-    }
-
-    /// Regression: cloning a forced-parallel service with a round still in
-    /// flight used to panic ("clone a ShardedService while a batch is in
-    /// flight"). `try_clone` settles the pipeline first and must succeed
-    /// exactly where `clone` would have aborted the process.
-    #[test]
-    fn try_clone_succeeds_with_round_in_flight() {
-        let mut svc = builder(2).build().unwrap();
-        svc.set_parallel(true);
-        svc.push_batch(vec![ke(1, 0, 5), ke(2, 3, 6)]).unwrap();
-        // no sync(): the round submitted above is still in flight
-        let mut copy = svc.try_clone().expect("try_clone settles the pipeline");
-        let a = svc.advance_watermark(Timestamp::from_millis(80)).unwrap();
-        let b = copy.advance_watermark(Timestamp::from_millis(80)).unwrap();
-        assert_eq!(a, b, "try_clone preserves replay equivalence");
-        assert_eq!(svc.finish().unwrap(), copy.finish().unwrap());
-    }
-
-    #[test]
     fn per_subject_ledgers_charge_only_their_patterns() {
         let mut b = ServiceBuilder::new(config(1)).unwrap();
         let p1 =
@@ -3578,6 +3458,39 @@ mod tests {
         drop(wal);
         let records = crate::durability::read_wal_from(&wal_path, 0).unwrap();
         assert!(matches!(records.last(), Some(WalRecord::Finish)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint whose `wal_offset` lies past the end of the log (the
+    /// image survived a power loss the WAL tail did not) must be refused:
+    /// recovering from it would reopen the log below the offset, and every
+    /// record appended afterwards would be skipped by the next recovery.
+    #[test]
+    fn recovery_refuses_a_log_that_ends_before_the_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("pdp_wal_behind_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal_path = dir.join("behind.wal");
+        let mut svc = builder(2).build().unwrap();
+        svc.attach_wal(WalWriter::create(&wal_path).unwrap());
+        svc.push_batch(vec![ke(1, 0, 2)]).unwrap();
+        let durable = svc.wal_offset().unwrap();
+        svc.push_batch(vec![ke(2, 3, 5)]).unwrap();
+        let (image, _) = svc.checkpoint().unwrap();
+        assert!(image.wal_offset > durable);
+        drop(svc);
+        // the power loss keeps the image but drops the log's second batch
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&wal_path)
+            .unwrap();
+        file.set_len(durable).unwrap();
+        drop(file);
+        let Err(err) =
+            ShardedService::recover_into(config(2), image, &wal_path, &mut VecSink::all())
+        else {
+            panic!("a log behind the checkpoint is refused");
+        };
+        assert!(matches!(err, CoreError::Durability(ref m) if m.contains("before the checkpoint")));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -714,11 +714,6 @@ impl StreamingEngine {
             .collect()
     }
 
-    /// The stable [`QueryId`] a release's `answers[i]` corresponds to.
-    pub fn query_id(&self, i: usize) -> Option<QueryId> {
-        self.core.queries().get(i).map(|q| q.id)
-    }
-
     /// Width of the event-type universe.
     pub fn n_types(&self) -> usize {
         self.n_types
@@ -1018,7 +1013,6 @@ mod tests {
             s.query_names(),
             vec![(QueryId(0), "t2?"), (QueryId(1), "t3?")]
         );
-        assert_eq!(s.query_id(1), Some(QueryId(1)));
     }
 
     #[test]

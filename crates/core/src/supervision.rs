@@ -404,12 +404,12 @@ impl HealthReport {
 /// `std::sync::Mutex` requires a real unwind while the guard is held, so
 /// the injected job panics with this marker value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoisonPill;
+pub(crate) struct PoisonPill;
 
 /// Install (once) a panic hook that suppresses the default stderr report
-/// for [`PoisonPill`] panics and delegates everything else to the
-/// previous hook. Chaos tests call this so scripted poisons do not spam
-/// the test output; real panics still print.
+/// for the panics of scripted [`Fault::PoisonShard`] jobs and delegates
+/// everything else to the previous hook. Chaos tests call this so scripted
+/// poisons do not spam the test output; real panics still print.
 pub fn quiet_poison_panics() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {

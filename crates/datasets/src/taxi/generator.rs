@@ -3,15 +3,12 @@
 
 use pdp_cep::{Pattern, PatternSet};
 use pdp_dp::DpRng;
-use pdp_stream::{EventType, IndicatorVector, TimeDelta, WindowedIndicators};
+use pdp_stream::{EventType, IndicatorVector, WindowedIndicators};
 
 use super::grid::Grid;
 use super::mobility::{Fleet, MobilityConfig};
 use super::regions::RegionAssignment;
 use crate::workload::Workload;
-
-/// T-Drive's sampling interval: one fleet tick every ~177 seconds.
-pub const SAMPLING_INTERVAL: TimeDelta = TimeDelta(177_000);
 
 /// Knobs for the Taxi workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,19 +51,6 @@ impl Default for TaxiConfig {
     }
 }
 
-impl TaxiConfig {
-    /// A configuration at the paper's fleet scale (10,357 taxis). Heavy —
-    /// used by the throughput benches, not the quality experiments.
-    pub fn paper_scale() -> Self {
-        TaxiConfig {
-            grid_side: 64,
-            n_taxis: 10_357,
-            n_windows: 488, // one simulated day at 177 s per tick
-            ..TaxiConfig::default()
-        }
-    }
-}
-
 /// A generated Taxi dataset.
 #[derive(Debug, Clone)]
 pub struct TaxiDataset {
@@ -74,40 +58,6 @@ pub struct TaxiDataset {
     pub workload: Workload,
     /// The drawn regions.
     pub regions: RegionAssignment,
-}
-
-/// Generate the raw attributed GPS event stream (the `S_D`-level view):
-/// one event per taxi per tick, typed by occupied cell, carrying the taxi
-/// id and grid coordinates — the shape a real T-Drive extract would have.
-/// Windowing this stream with a tumbling window of [`SAMPLING_INTERVAL`]
-/// reproduces the indicator view the workload carries (tested below).
-pub fn generate_event_stream(config: &TaxiConfig, seed: u64) -> pdp_stream::EventStream {
-    use pdp_stream::{AttrValue, Event, EventType, Timestamp};
-    let mut rng = DpRng::seed_from(seed);
-    let grid = Grid::new(config.grid_side);
-    // consume the region draw exactly as `generate` does, so the fleet
-    // trajectories match the workload for the same seed
-    let _ = RegionAssignment::draw(
-        grid.n_cells(),
-        config.private_frac,
-        config.target_frac,
-        config.overlap_frac,
-        &mut rng,
-    );
-    let mut fleet = Fleet::spawn(grid, config.n_taxis, config.mobility.clone(), &mut rng);
-    let mut events = Vec::with_capacity(config.n_taxis * config.n_windows);
-    for tick in 0..config.n_windows {
-        let ts = Timestamp::from_millis(tick as i64 * SAMPLING_INTERVAL.millis());
-        for (taxi, cell) in fleet.tick(&mut rng).into_iter().enumerate() {
-            let (x, y) = grid.coords(cell);
-            events.push(
-                Event::new(EventType(cell.0), ts)
-                    .with_attr("taxi", AttrValue::Int(taxi as i64))
-                    .with_attr("cell", AttrValue::Location(x as f64, y as f64)),
-            );
-        }
-    }
-    pdp_stream::EventStream::from_ordered(events).expect("ticks are ordered")
 }
 
 impl TaxiDataset {
@@ -256,39 +206,5 @@ mod tests {
         let b = TaxiDataset::generate(&small(), 9);
         assert_eq!(a.workload.windows, b.workload.windows);
         assert_eq!(a.regions, b.regions);
-    }
-
-    #[test]
-    fn sampling_interval_matches_tdrive() {
-        assert_eq!(SAMPLING_INTERVAL.millis(), 177_000);
-    }
-
-    #[test]
-    fn event_stream_reproduces_indicator_view() {
-        use pdp_stream::{WindowAssigner, WindowedIndicators};
-        let config = small();
-        let dataset = TaxiDataset::generate(&config, 21);
-        let stream = generate_event_stream(&config, 21);
-        assert_eq!(stream.len(), config.n_taxis * config.n_windows);
-        let assigner = WindowAssigner::tumbling(SAMPLING_INTERVAL).unwrap();
-        let windows = WindowedIndicators::from_stream(&stream, &assigner, 64);
-        assert_eq!(windows, dataset.workload.windows);
-    }
-
-    #[test]
-    fn event_stream_carries_attribution() {
-        let config = TaxiConfig {
-            grid_side: 4,
-            n_taxis: 3,
-            n_windows: 2,
-            ..TaxiConfig::default()
-        };
-        let stream = generate_event_stream(&config, 1);
-        for e in stream.iter() {
-            let taxi = e.attr("taxi").and_then(|v| v.as_int()).unwrap();
-            assert!((0..3).contains(&taxi));
-            let (x, y) = e.attr("cell").and_then(|v| v.as_location()).unwrap();
-            assert!(x < 4.0 && y < 4.0);
-        }
     }
 }

@@ -43,7 +43,7 @@ struct Taxi {
 
 /// A simulated fleet advancing in lock-step ticks.
 #[derive(Debug, Clone)]
-pub struct Fleet {
+pub(crate) struct Fleet {
     grid: Grid,
     config: MobilityConfig,
     hotspots: Vec<CellId>,
@@ -52,7 +52,12 @@ pub struct Fleet {
 
 impl Fleet {
     /// Spawn `n_taxis` at random cells with random initial destinations.
-    pub fn spawn(grid: Grid, n_taxis: usize, config: MobilityConfig, rng: &mut DpRng) -> Fleet {
+    pub(crate) fn spawn(
+        grid: Grid,
+        n_taxis: usize,
+        config: MobilityConfig,
+        rng: &mut DpRng,
+    ) -> Fleet {
         let hotspots: Vec<CellId> = rng
             .sample_indices(grid.n_cells(), config.n_hotspots.min(grid.n_cells()))
             .into_iter()
@@ -85,7 +90,7 @@ impl Fleet {
     }
 
     /// Advance one sampling tick; returns each taxi's cell after the move.
-    pub fn tick(&mut self, rng: &mut DpRng) -> Vec<CellId> {
+    pub(crate) fn tick(&mut self, rng: &mut DpRng) -> Vec<CellId> {
         let grid = self.grid;
         let detour_prob = self.config.detour_prob;
         let dwell_ticks = self.config.dwell_ticks;
@@ -116,29 +121,15 @@ impl Fleet {
     }
 
     /// Current positions of all taxis.
-    pub fn positions(&self) -> Vec<CellId> {
+    pub(crate) fn positions(&self) -> Vec<CellId> {
         self.taxis.iter().map(|t| t.position).collect()
-    }
-
-    /// The hotspot cells.
-    pub fn hotspots(&self) -> &[CellId] {
-        &self.hotspots
-    }
-
-    /// Fleet size.
-    pub fn len(&self) -> usize {
-        self.taxis.len()
-    }
-
-    /// True for an empty fleet.
-    pub fn is_empty(&self) -> bool {
-        self.taxis.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::taxi::grid::distance;
 
     fn fleet(n: usize, seed: u64) -> (Fleet, DpRng) {
         let mut rng = DpRng::seed_from(seed);
@@ -149,12 +140,11 @@ mod tests {
     #[test]
     fn spawn_places_all_taxis_on_grid() {
         let (f, _) = fleet(50, 1);
-        assert_eq!(f.len(), 50);
-        assert!(!f.is_empty());
+        assert_eq!(f.positions().len(), 50);
         for p in f.positions() {
             assert!(p.index() < 64);
         }
-        assert_eq!(f.hotspots().len(), 6);
+        assert_eq!(f.hotspots.len(), 6);
     }
 
     #[test]
@@ -164,7 +154,7 @@ mod tests {
         let before = f.positions();
         let after = f.tick(&mut rng);
         for (b, a) in before.iter().zip(&after) {
-            assert!(grid.distance(*b, *a) <= 1, "taxi jumped {b:?}→{a:?}");
+            assert!(distance(&grid, *b, *a) <= 1, "taxi jumped {b:?}→{a:?}");
         }
     }
 
@@ -182,7 +172,7 @@ mod tests {
         let (mut f, mut rng) = fleet(100, 3);
         let mut hotspot_visits = 0usize;
         let mut total = 0usize;
-        let hotspots: std::collections::BTreeSet<CellId> = f.hotspots().iter().copied().collect();
+        let hotspots: std::collections::BTreeSet<CellId> = f.hotspots.iter().copied().collect();
         for _ in 0..200 {
             for p in f.tick(&mut rng) {
                 total += 1;

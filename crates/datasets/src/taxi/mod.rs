@@ -1,4 +1,4 @@
-//! The Taxi dataset: a T-Drive substitute (see DESIGN.md §3).
+//! The Taxi dataset: a T-Drive substitute.
 //!
 //! The paper evaluates on T-Drive [15, 16]: GPS records of 10,357 Beijing
 //! taxis sampled every ~177 s (~623 m). The raw traces are not shipped with
@@ -25,7 +25,7 @@ mod grid;
 mod mobility;
 mod regions;
 
-pub use generator::{generate_event_stream, TaxiConfig, TaxiDataset, SAMPLING_INTERVAL};
-pub use grid::{CellId, Grid};
-pub use mobility::{Fleet, MobilityConfig};
+pub use generator::{TaxiConfig, TaxiDataset};
+pub use grid::CellId;
+pub use mobility::MobilityConfig;
 pub use regions::RegionAssignment;

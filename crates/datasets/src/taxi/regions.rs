@@ -65,12 +65,6 @@ impl RegionAssignment {
         }
     }
 
-    /// Draw with the paper's exact fractions: 20 % private, 50 % target,
-    /// 50 % of the private area shared.
-    pub fn draw_paper(n_cells: usize, rng: &mut DpRng) -> RegionAssignment {
-        Self::draw(n_cells, 0.20, 0.50, 0.50, rng)
-    }
-
     /// Cells that are both private and target.
     pub fn overlap(&self) -> Vec<CellId> {
         let target: BTreeSet<CellId> = self.target_cells.iter().copied().collect();
@@ -90,7 +84,7 @@ mod tests {
     fn paper_fractions_hold() {
         let mut rng = DpRng::seed_from(5);
         let n = 400;
-        let r = RegionAssignment::draw_paper(n, &mut rng);
+        let r = RegionAssignment::draw(n, 0.20, 0.50, 0.50, &mut rng);
         assert_eq!(r.private_cells.len(), 80); // 20 %
         assert_eq!(r.target_cells.len(), 200); // 50 %
         assert_eq!(r.overlap().len(), 40); // 50 % of private
@@ -99,7 +93,7 @@ mod tests {
     #[test]
     fn all_cells_in_range_and_distinct() {
         let mut rng = DpRng::seed_from(6);
-        let r = RegionAssignment::draw_paper(100, &mut rng);
+        let r = RegionAssignment::draw(100, 0.20, 0.50, 0.50, &mut rng);
         let distinct: BTreeSet<_> = r.private_cells.iter().collect();
         assert_eq!(distinct.len(), r.private_cells.len());
         assert!(r.private_cells.iter().all(|c| c.index() < 100));
@@ -126,8 +120,8 @@ mod tests {
         let mut a = DpRng::seed_from(9);
         let mut b = DpRng::seed_from(9);
         assert_eq!(
-            RegionAssignment::draw_paper(64, &mut a),
-            RegionAssignment::draw_paper(64, &mut b)
+            RegionAssignment::draw(64, 0.20, 0.50, 0.50, &mut a),
+            RegionAssignment::draw(64, 0.20, 0.50, 0.50, &mut b)
         );
     }
 

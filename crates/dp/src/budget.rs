@@ -325,11 +325,6 @@ impl<K: Eq + Hash + Clone> EpochLedger<K> {
         self.caps.contains_key(key) && !self.retired_from.contains_key(key)
     }
 
-    /// The registered per-release cap, or `None` for unknown keys.
-    pub fn cap(&self, key: &K) -> Option<Epsilon> {
-        self.caps.get(key).copied()
-    }
-
     /// Charge `times` releases of `amount` against `key` in `epoch`.
     ///
     /// Refused (ledger untouched) when `key` is unregistered, when
@@ -408,11 +403,6 @@ impl<K: Eq + Hash + Clone> EpochLedger<K> {
     /// Every registered key (retired ones included), in arbitrary order.
     pub fn keys(&self) -> Vec<K> {
         self.caps.keys().cloned().collect()
-    }
-
-    /// Number of registered keys.
-    pub fn registered_keys(&self) -> usize {
-        self.caps.len()
     }
 }
 

@@ -1,74 +1,12 @@
-//! Composition accounting for DP mechanisms.
+//! Composition accounting for the w-event baselines.
 //!
 //! Sequential composition: releasing `M₁, …, Mₖ` on the same data costs
-//! `Σ εᵢ`. Parallel composition: releasing on *disjoint* partitions costs
-//! `max εᵢ`. Theorem 1 of the paper is exactly sequential composition of
-//! per-event randomized responses along a pattern; the accountant here is
-//! used by the trusted engine and by the w-event baselines (whose guarantee
-//! is sequential composition inside any window of `w` timestamps).
+//! `Σ εᵢ`. Theorem 1 of the paper is exactly sequential composition of
+//! per-event randomized responses along a pattern; the w-event baselines'
+//! guarantee is sequential composition inside any window of `w`
+//! timestamps, which [`SlidingWindowAccountant`] checks.
 
 use crate::budget::Epsilon;
-
-/// How simultaneous releases combine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompositionKind {
-    /// Same data: budgets add.
-    Sequential,
-    /// Disjoint data: budgets max.
-    Parallel,
-}
-
-/// An accountant that folds spends under a composition rule.
-#[derive(Debug, Clone)]
-pub struct Accountant {
-    kind: CompositionKind,
-    spends: Vec<Epsilon>,
-}
-
-impl Accountant {
-    /// A sequential-composition accountant.
-    pub fn sequential() -> Self {
-        Accountant {
-            kind: CompositionKind::Sequential,
-            spends: Vec::new(),
-        }
-    }
-
-    /// A parallel-composition accountant.
-    pub fn parallel() -> Self {
-        Accountant {
-            kind: CompositionKind::Parallel,
-            spends: Vec::new(),
-        }
-    }
-
-    /// Record one release.
-    pub fn record(&mut self, eps: Epsilon) {
-        self.spends.push(eps);
-    }
-
-    /// Total privacy cost so far under the accountant's rule.
-    pub fn total(&self) -> Epsilon {
-        match self.kind {
-            CompositionKind::Sequential => {
-                self.spends.iter().fold(Epsilon::ZERO, |acc, &e| acc + e)
-            }
-            CompositionKind::Parallel => {
-                self.spends.iter().fold(Epsilon::ZERO, |acc, &e| acc.max(e))
-            }
-        }
-    }
-
-    /// Number of recorded releases.
-    pub fn releases(&self) -> usize {
-        self.spends.len()
-    }
-
-    /// The rule in force.
-    pub fn kind(&self) -> CompositionKind {
-        self.kind
-    }
-}
 
 /// Sliding-window sequential composition: the w-event invariant.
 ///
@@ -112,21 +50,6 @@ impl SlidingWindowAccountant {
         }
         best
     }
-
-    /// Spend recorded at timestamp `t`.
-    pub fn spend_at(&self, t: usize) -> Option<Epsilon> {
-        self.spends.get(t).copied()
-    }
-
-    /// Number of timestamps recorded.
-    pub fn len(&self) -> usize {
-        self.spends.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spends.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -139,32 +62,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_adds() {
-        let mut acc = Accountant::sequential();
-        acc.record(eps(0.5));
-        acc.record(eps(1.0));
-        acc.record(eps(0.25));
-        assert!((acc.total().value() - 1.75).abs() < 1e-12);
-        assert_eq!(acc.releases(), 3);
-    }
-
-    #[test]
-    fn parallel_maxes() {
-        let mut acc = Accountant::parallel();
-        acc.record(eps(0.5));
-        acc.record(eps(1.0));
-        acc.record(eps(0.25));
-        assert!((acc.total().value() - 1.0).abs() < 1e-12);
-        assert_eq!(acc.kind(), CompositionKind::Parallel);
-    }
-
-    #[test]
-    fn empty_accountants_are_zero() {
-        assert_eq!(Accountant::sequential().total(), Epsilon::ZERO);
-        assert_eq!(Accountant::parallel().total(), Epsilon::ZERO);
-    }
-
-    #[test]
     fn sliding_window_worst_total() {
         let mut acc = SlidingWindowAccountant::new(3);
         for v in [0.1, 0.2, 0.3, 0.4, 0.0, 0.0, 0.9] {
@@ -173,8 +70,6 @@ mod tests {
         // windows of 3: [0.1,0.2,0.3]=0.6 [0.2,0.3,0.4]=0.9 [0.3,0.4,0]=0.7
         // [0.4,0,0]=0.4 [0,0,0.9]=0.9 ... max = 0.9
         assert!((acc.worst_window_total().value() - 0.9).abs() < 1e-9);
-        assert_eq!(acc.len(), 7);
-        assert_eq!(acc.spend_at(3), Some(eps(0.4)));
     }
 
     #[test]
@@ -203,16 +98,6 @@ mod tests {
                 })
                 .fold(0.0f64, f64::max);
             prop_assert!((acc.worst_window_total().value() - naive).abs() < 1e-9);
-        }
-
-        #[test]
-        fn sequential_total_matches_sum(spends in proptest::collection::vec(0.0f64..2.0, 0..40)) {
-            let mut acc = Accountant::sequential();
-            for &v in &spends {
-                acc.record(eps(v));
-            }
-            let sum: f64 = spends.iter().sum();
-            prop_assert!((acc.total().value() - sum).abs() < 1e-9);
         }
     }
 }

@@ -23,7 +23,7 @@
 //! * **Word path** ([`FlipProb::threshold_u64`] +
 //!   [`DpRng::bernoulli_word`]): one raw `u64` draw per bit, compared
 //!   against the integer threshold `ceil(p · 2^64)`. The hot-path flip
-//!   plan (`pdp_core::protect::FlipPlan`) draws in **probability-class
+//!   plan (`pdp_core::FlipPlan`) draws in **probability-class
 //!   order**: event types are grouped by distinct flip probability at
 //!   setup; per released window, classes are visited in order of their
 //!   first (lowest) type id, and within a class bits are drawn in

@@ -2,6 +2,7 @@
 
 use serde::Serialize;
 
+use pdp_core::CoreError;
 use pdp_datasets::{SyntheticConfig, SyntheticDataset, TaxiConfig, TaxiDataset, Workload};
 use pdp_dp::Epsilon;
 use pdp_metrics::Table;
@@ -113,6 +114,27 @@ pub fn build_workload(dataset: Dataset, config: &Fig4Config) -> Workload {
 /// times (seeds `seed, seed+1, …`) and reports, per cell, the summary of
 /// per-dataset mean MREs — the paper's repeated-Algorithm-2 methodology.
 pub fn run_fig4(dataset: Dataset, config: &Fig4Config) -> Fig4Result {
+    sweep(
+        dataset,
+        config,
+        &config.mechanisms,
+        dataset.label(),
+        run_cell,
+    )
+}
+
+/// The one Fig. 4 sweep every serve mode runs: replicate the workload
+/// `n_datasets` times, run `run_cell` for each (mechanism, ε) cell of
+/// `mechanisms` × the ε grid, and aggregate across datasets. The cell
+/// seed formula lives only here, which is what keeps the batch ↔
+/// streaming ↔ sharded cells bit-for-bit equal.
+pub(crate) fn sweep(
+    dataset: Dataset,
+    config: &Fig4Config,
+    mechanisms: &[MechanismSpec],
+    label: &str,
+    run_cell: impl Fn(MechanismSpec, &Workload, &RunConfig, u64) -> Result<TrialOutcome, CoreError>,
+) -> Fig4Result {
     let n_datasets = config.n_datasets.max(1);
     let workloads: Vec<Workload> = (0..n_datasets)
         .map(|k| {
@@ -121,8 +143,7 @@ pub fn run_fig4(dataset: Dataset, config: &Fig4Config) -> Fig4Result {
             build_workload(dataset, &cfg)
         })
         .collect();
-    let series = config
-        .mechanisms
+    let series = mechanisms
         .iter()
         .map(|&spec| {
             let points = config
@@ -140,7 +161,10 @@ pub fn run_fig4(dataset: Dataset, config: &Fig4Config) -> Fig4Result {
                         .wrapping_add(i as u64 * 97 + spec.label().len() as u64);
                     let cells: Vec<TrialOutcome> = workloads
                         .iter()
-                        .map(|w| run_cell(spec, w, &run, cell_seed).expect("fig4 cell must run"))
+                        .map(|w| {
+                            run_cell(spec, w, &run, cell_seed)
+                                .unwrap_or_else(|e| panic!("{label} fig4 cell must run: {e}"))
+                        })
                         .collect();
                     aggregate_cells(cells)
                 })
@@ -152,14 +176,14 @@ pub fn run_fig4(dataset: Dataset, config: &Fig4Config) -> Fig4Result {
         })
         .collect();
     Fig4Result {
-        dataset: dataset.label().to_owned(),
+        dataset: label.to_owned(),
         series,
     }
 }
 
 /// Merge per-dataset outcomes into one: means of q values, and a summary
 /// over the per-dataset mean MREs (a single dataset passes through).
-pub(crate) fn aggregate_cells(mut cells: Vec<TrialOutcome>) -> TrialOutcome {
+fn aggregate_cells(mut cells: Vec<TrialOutcome>) -> TrialOutcome {
     if cells.len() == 1 {
         return cells.pop().expect("one cell");
     }

@@ -19,7 +19,7 @@
 //!   ingestion, hash partitioning, population-level merge. One shard
 //!   reproduces the streaming cells bit for bit; more shards measure the
 //!   quality cost of partitioned serving;
-//! * [`stats`] — [`Summary`]: mean, standard deviation and 95 % CI over
+//! * [`Summary`] — mean, standard deviation and 95 % CI over
 //!   a cell's trials, the figures the `fig4_*.json` files carry.
 //!
 //! * [`alloc_meter`] — the counting global allocator behind the
@@ -34,11 +34,9 @@ pub mod alloc_meter;
 pub mod fig4;
 pub mod runner;
 pub mod sharded;
-pub mod stats;
+mod stats;
 pub mod streaming;
 
-pub use fig4::{run_fig4, Fig4Config};
-pub use runner::{MechanismSpec, RunConfig, TrialOutcome};
-pub use sharded::{run_cell_sharded, run_fig4_sharded};
+pub use fig4::Fig4Config;
+pub use runner::{MechanismSpec, RunConfig};
 pub use stats::Summary;
-pub use streaming::{run_cell_streaming, run_fig4_streaming};

@@ -118,7 +118,7 @@ pub struct TrialOutcome {
 }
 
 /// Build the mechanism described by `spec` for `workload`.
-pub fn build_mechanism(
+pub(crate) fn build_mechanism(
     spec: MechanismSpec,
     workload: &Workload,
     config: &RunConfig,
@@ -222,6 +222,23 @@ pub fn run_cell(
     seed: u64,
 ) -> Result<TrialOutcome, CoreError> {
     let mechanism = build_mechanism(spec, workload, config)?;
+    run_trials(spec, workload, config, seed, |rng| {
+        Ok(mechanism.protect(&workload.windows, rng))
+    })
+}
+
+/// The trial loop every serve mode shares: trial `i` protects the
+/// workload with fork `i` of `DpRng::seed_from(seed)`, is scored against
+/// the unprotected windows, and the MREs are summarized. Because the
+/// batch, streaming and sharded cells differ only in `protect`, equal
+/// protected views give bit-identical outcomes.
+pub(crate) fn run_trials(
+    spec: MechanismSpec,
+    workload: &Workload,
+    config: &RunConfig,
+    seed: u64,
+    mut protect: impl FnMut(&mut DpRng) -> Result<WindowedIndicators, CoreError>,
+) -> Result<TrialOutcome, CoreError> {
     // Q_ord: the unprotected answers are exact, so Q_ord = 1 under exact
     // truth playback; still measured, not assumed.
     let q_ord = score(&workload.windows, &workload.windows, workload, config.alpha).q;
@@ -231,7 +248,7 @@ pub fn run_cell(
     let mut q_sum = 0.0;
     for trial in 0..config.trials {
         let mut trial_rng = rng.fork(trial as u64);
-        let protected = mechanism.protect(&workload.windows, &mut trial_rng);
+        let protected = protect(&mut trial_rng)?;
         let q_ppm = score(&workload.windows, &protected, workload, config.alpha).q;
         q_sum += q_ppm;
         mres.push(pdp_metrics::mre(q_ord, q_ppm));

@@ -28,19 +28,18 @@ use pdp_dp::DpRng;
 use pdp_stream::{EventType, IndicatorVector, TimeDelta, Timestamp, WindowedIndicators};
 
 use crate::fig4::{Dataset, Fig4Config, Fig4Result};
-use crate::runner::{history_split, score, MechanismSpec, RunConfig, TrialOutcome};
-use crate::stats::Summary;
+use crate::runner::{history_split, run_trials, MechanismSpec, RunConfig, TrialOutcome};
 use crate::streaming::REPLAY_WINDOW;
 
 /// How many events each `push_batch` call carries during a replay (the
 /// batching is semantically invisible; this just exercises the batched
 /// ingestion path with realistic chunk sizes).
-pub const REPLAY_BATCH: usize = 256;
+pub(crate) const REPLAY_BATCH: usize = 256;
 
 /// Build a set-up [`ServiceBuilder`] whose pattern ids mirror
 /// `workload.patterns` exactly, with one registered subject per event
 /// type and each private pattern declared by its first element's subject.
-pub fn service_for_workload(
+pub(crate) fn service_for_workload(
     spec: MechanismSpec,
     workload: &Workload,
     config: &RunConfig,
@@ -99,7 +98,7 @@ pub fn service_for_workload(
 /// Replay `windows` through a sharded service and collect the
 /// population-level protected view: the per-type disjunction of the shard
 /// releases at each window index.
-pub fn sharded_protected_view(
+pub(crate) fn sharded_protected_view(
     builder: ServiceBuilder,
     windows: &WindowedIndicators,
     n_shards: usize,
@@ -149,7 +148,7 @@ pub fn sharded_protected_view(
 ///
 /// Same trial discipline as [`crate::runner::run_cell`] and
 /// [`crate::streaming::run_cell_streaming`]: master seed, per-trial forks.
-pub fn run_cell_sharded(
+pub(crate) fn run_cell_sharded(
     spec: MechanismSpec,
     workload: &Workload,
     config: &RunConfig,
@@ -159,25 +158,9 @@ pub fn run_cell_sharded(
     if n_shards == 0 {
         return Err(CoreError::InvalidService("zero shards requested".into()));
     }
-    let q_ord = score(&workload.windows, &workload.windows, workload, config.alpha).q;
-    let mut rng = DpRng::seed_from(seed);
-    let mut mres = Vec::with_capacity(config.trials);
-    let mut q_sum = 0.0;
-    for trial in 0..config.trials {
-        let mut trial_rng = rng.fork(trial as u64);
+    run_trials(spec, workload, config, seed, |rng| {
         let builder = service_for_workload(spec, workload, config, n_shards, seed)?;
-        let protected =
-            sharded_protected_view(builder, &workload.windows, n_shards, &mut trial_rng)?;
-        let q_ppm = score(&workload.windows, &protected, workload, config.alpha).q;
-        q_sum += q_ppm;
-        mres.push(pdp_metrics::mre(q_ord, q_ppm));
-    }
-    Ok(TrialOutcome {
-        mechanism: spec.label().to_owned(),
-        eps: config.eps.value(),
-        q_ord,
-        q_ppm: q_sum / config.trials.max(1) as f64,
-        mre: Summary::from_values(&mres).expect("at least one trial"),
+        sharded_protected_view(builder, &workload.windows, n_shards, rng)
     })
 }
 
@@ -197,7 +180,7 @@ pub fn run_fig4_sharded(dataset: Dataset, config: &Fig4Config, n_shards: usize) 
 }
 
 /// The per-type subject assignment of the replay (`SubjectId` = type id).
-pub fn replay_subject(ty: EventType) -> SubjectId {
+pub(crate) fn replay_subject(ty: EventType) -> SubjectId {
     SubjectId(ty.0 as u64)
 }
 

@@ -52,11 +52,6 @@ impl Summary {
             max,
         })
     }
-
-    /// The interval `[mean − ci95, mean + ci95]`.
-    pub fn ci_bounds(&self) -> (f64, f64) {
-        (self.mean - self.ci95, self.mean + self.ci95)
-    }
 }
 
 #[cfg(test)]
@@ -88,8 +83,7 @@ mod tests {
         assert!((s.std_dev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
-        let (lo, hi) = s.ci_bounds();
-        assert!(lo < s.mean && s.mean < hi);
+        assert!(s.ci95 > 0.0);
     }
 
     #[test]

@@ -20,17 +20,16 @@ use pdp_core::{
     CoreError, PpmKind, StreamingConfig, StreamingEngine, TrustedEngine, TrustedEngineConfig,
 };
 use pdp_datasets::Workload;
-use pdp_dp::{DpRng, Epsilon};
+use pdp_dp::DpRng;
 use pdp_stream::{IndicatorVector, TimeDelta, Timestamp, WindowedIndicators};
 
-use crate::fig4::{build_workload, Dataset, Fig4Config, Fig4Result, Fig4Series};
-use crate::runner::{history_split, score, MechanismSpec, RunConfig, TrialOutcome};
-use crate::stats::Summary;
+use crate::fig4::{sweep, Dataset, Fig4Config, Fig4Result};
+use crate::runner::{history_split, run_trials, MechanismSpec, RunConfig, TrialOutcome};
 
 /// Window length used when reconstructing a workload's windows as an event
 /// stream. The value is arbitrary (indicators carry no intra-window
 /// timing); it only fixes the replay clock.
-pub const REPLAY_WINDOW: TimeDelta = TimeDelta::from_millis(1_000);
+pub(crate) const REPLAY_WINDOW: TimeDelta = TimeDelta::from_millis(1_000);
 
 /// Build a set-up [`TrustedEngine`] whose pattern ids mirror
 /// `workload.patterns` exactly.
@@ -38,7 +37,7 @@ pub const REPLAY_WINDOW: TimeDelta = TimeDelta::from_millis(1_000);
 /// Patterns are re-registered in id order — private ones as private,
 /// queried ones as target queries, any remaining ones as plain patterns —
 /// so every `PatternId` in the workload is valid against the engine.
-pub fn engine_for_workload(
+pub(crate) fn engine_for_workload(
     spec: MechanismSpec,
     workload: &Workload,
     config: &RunConfig,
@@ -89,7 +88,7 @@ pub fn engine_for_workload(
 /// Watermarks pin the replay to the history's boundaries so leading and
 /// trailing empty windows are released too (an absent pattern is exactly
 /// what randomized response may flip into a present one).
-pub fn stream_protected_view(
+pub(crate) fn stream_protected_view(
     engine: &TrustedEngine,
     windows: &WindowedIndicators,
     rng: &mut DpRng,
@@ -120,37 +119,21 @@ pub fn stream_protected_view(
 /// The trial discipline mirrors [`crate::runner::run_cell`]: same master
 /// seed, same per-trial forks — so for the pattern-level mechanisms the
 /// outcome is identical to the batch cell.
-pub fn run_cell_streaming(
+pub(crate) fn run_cell_streaming(
     spec: MechanismSpec,
     workload: &Workload,
     config: &RunConfig,
     seed: u64,
 ) -> Result<TrialOutcome, CoreError> {
     let engine = engine_for_workload(spec, workload, config)?;
-    let q_ord = score(&workload.windows, &workload.windows, workload, config.alpha).q;
-
-    let mut rng = DpRng::seed_from(seed);
-    let mut mres = Vec::with_capacity(config.trials);
-    let mut q_sum = 0.0;
-    for trial in 0..config.trials {
-        let mut trial_rng = rng.fork(trial as u64);
-        let protected = stream_protected_view(&engine, &workload.windows, &mut trial_rng)?;
-        let q_ppm = score(&workload.windows, &protected, workload, config.alpha).q;
-        q_sum += q_ppm;
-        mres.push(pdp_metrics::mre(q_ord, q_ppm));
-    }
-    Ok(TrialOutcome {
-        mechanism: spec.label().to_owned(),
-        eps: config.eps.value(),
-        q_ord,
-        q_ppm: q_sum / config.trials.max(1) as f64,
-        mre: Summary::from_values(&mres).expect("at least one trial"),
+    run_trials(spec, workload, config, seed, |rng| {
+        stream_protected_view(&engine, &workload.windows, rng)
     })
 }
 
 /// The pattern-level subset of a mechanism list (what the streaming
 /// service can run).
-pub fn streaming_mechanisms(specs: &[MechanismSpec]) -> Vec<MechanismSpec> {
+pub(crate) fn streaming_mechanisms(specs: &[MechanismSpec]) -> Vec<MechanismSpec> {
     specs
         .iter()
         .copied()
@@ -169,22 +152,20 @@ pub fn run_fig4_streaming(dataset: Dataset, config: &Fig4Config) -> Fig4Result {
     run_fig4_online(dataset, config, "streaming", run_cell_streaming)
 }
 
-/// Shared Fig. 4 sweep scaffolding for the online serve fronts (streaming
-/// and sharded): replicate the workloads, announce the skipped
-/// whole-history baselines, sweep the ε grid under the exact batch-runner
-/// seed discipline, and aggregate. Keeping the seed formula in one place
-/// is what keeps the batch ↔ streaming ↔ sharded cell equivalence
-/// bit-for-bit.
+/// The Fig. 4 sweep for the online serve fronts (streaming and sharded):
+/// announce the skipped whole-history baselines, then run
+/// [`crate::fig4`]'s one sweep over the pattern-level mechanisms.
 pub(crate) fn run_fig4_online(
     dataset: Dataset,
     config: &Fig4Config,
     label: &str,
     run_cell: impl Fn(MechanismSpec, &Workload, &RunConfig, u64) -> Result<TrialOutcome, CoreError>,
 ) -> Fig4Result {
+    let online = streaming_mechanisms(&config.mechanisms);
     let skipped: Vec<&str> = config
         .mechanisms
         .iter()
-        .filter(|s| !matches!(s, MechanismSpec::Uniform | MechanismSpec::Adaptive))
+        .filter(|s| !online.contains(s))
         .map(|s| s.label())
         .collect();
     if !skipped.is_empty() {
@@ -194,50 +175,13 @@ pub(crate) fn run_fig4_online(
             skipped.join(", ")
         );
     }
-    let n_datasets = config.n_datasets.max(1);
-    let workloads: Vec<Workload> = (0..n_datasets)
-        .map(|k| {
-            let mut cfg = config.clone();
-            cfg.seed = config.seed.wrapping_add(k as u64);
-            build_workload(dataset, &cfg)
-        })
-        .collect();
-    let series = streaming_mechanisms(&config.mechanisms)
-        .into_iter()
-        .map(|spec| {
-            let points = config
-                .eps_grid
-                .iter()
-                .enumerate()
-                .map(|(i, &eps)| {
-                    let run = RunConfig {
-                        trials: config.trials,
-                        ..RunConfig::at_eps(Epsilon::new(eps).expect("grid eps valid"))
-                    };
-                    let cell_seed = config
-                        .seed
-                        .wrapping_mul(1_000_003)
-                        .wrapping_add(i as u64 * 97 + spec.label().len() as u64);
-                    let cells: Vec<TrialOutcome> = workloads
-                        .iter()
-                        .map(|w| {
-                            run_cell(spec, w, &run, cell_seed)
-                                .unwrap_or_else(|e| panic!("{label} fig4 cell must run: {e}"))
-                        })
-                        .collect();
-                    crate::fig4::aggregate_cells(cells)
-                })
-                .collect();
-            Fig4Series {
-                mechanism: spec.label().to_owned(),
-                points,
-            }
-        })
-        .collect();
-    Fig4Result {
-        dataset: format!("{}+{}", dataset.label(), label),
-        series,
-    }
+    sweep(
+        dataset,
+        config,
+        &online,
+        &format!("{}+{}", dataset.label(), label),
+        run_cell,
+    )
 }
 
 #[cfg(test)]
@@ -245,6 +189,7 @@ mod tests {
     use super::*;
     use crate::runner::run_cell;
     use pdp_datasets::{SyntheticConfig, SyntheticDataset};
+    use pdp_dp::Epsilon;
 
     fn workload() -> Workload {
         SyntheticDataset::generate(

@@ -74,16 +74,6 @@ impl ConfusionMatrix {
         }
         self.tp as f64 / (self.tp + self.fn_) as f64
     }
-
-    /// Convert to fractional counts.
-    pub fn to_fractional(&self) -> FractionalConfusion {
-        FractionalConfusion {
-            tp: self.tp as f64,
-            fp: self.fp as f64,
-            fn_: self.fn_ as f64,
-            tn: self.tn as f64,
-        }
-    }
 }
 
 /// Expected (fractional) confusion counts.
@@ -236,8 +226,6 @@ mod tests {
         }
         assert!((soft.precision() - hard.precision()).abs() < 1e-12);
         assert!((soft.recall() - hard.recall()).abs() < 1e-12);
-        let conv = hard.to_fractional();
-        assert!((conv.tp - soft.tp).abs() < 1e-12);
     }
 
     #[test]

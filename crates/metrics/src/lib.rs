@@ -12,14 +12,14 @@
 //! log-bucketed [`LatencyHistogram`] the service edge and the repo
 //! benchmark record tail percentiles with.
 
-pub mod audit;
-pub mod confusion;
-pub mod histogram;
-pub mod quality;
-pub mod report;
+mod audit;
+mod confusion;
+mod histogram;
+mod quality;
+mod report;
 
 pub use audit::{AuditKey, TrustedAudit};
 pub use confusion::{ConfusionMatrix, FractionalConfusion};
 pub use histogram::LatencyHistogram;
 pub use quality::{f1, mre, quality, Alpha, QualityReport};
-pub use report::{csv_table, markdown_table, text_table, Table};
+pub use report::{markdown_table, text_table, Table};

@@ -1,4 +1,4 @@
-//! Result tables: plain-text, markdown and CSV rendering.
+//! Result tables: plain-text and markdown rendering.
 //!
 //! The experiment harness prints the same rows the paper's figures plot;
 //! these helpers keep the formatting in one place.
@@ -89,18 +89,6 @@ pub fn markdown_table(table: &Table) -> String {
     out
 }
 
-/// Render as CSV (no quoting — cells are numeric/identifier strings).
-pub fn csv_table(table: &Table) -> String {
-    let mut out = String::new();
-    out.push_str(&table.headers.join(","));
-    out.push('\n');
-    for row in &table.rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,13 +109,6 @@ mod tests {
         assert_eq!(t.rows[1].len(), 2);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let csv = csv_table(&sample());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines, ["eps,mre", "0.1,0.93", "1.0,0.41"]);
     }
 
     #[test]

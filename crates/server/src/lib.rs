@@ -66,8 +66,9 @@
 //! the sealed pre-protection audit never crosses the wire.
 //!
 //! **Backpressure.** Every queue between a socket and the service is
-//! bounded; see [`server`] for how a slow consumer or a saturated
-//! pipeline turns into TCP backpressure instead of unbounded buffering.
+//! bounded, so a slow consumer or a saturated pipeline turns into TCP
+//! backpressure instead of unbounded buffering (the threading model is
+//! documented in `src/server.rs`).
 //!
 //! **Shutdown.** `Shutdown` settles the pipeline, flushes the sink
 //! outbox, fsyncs the WAL ([`pdp_core::ShardedService::shutdown_into`]),
@@ -75,15 +76,15 @@
 //!
 //! ## Pieces
 //!
-//! * [`server::serve`] — the threaded TCP server over a service
-//! * [`client::Client`] — the blocking client (also the test driver)
-//! * [`load`] — the seeded multi-connection load generator (`pdp-load`)
+//! * [`serve`] — the threaded TCP server over a service
+//! * [`Client`] — the blocking client (also the test driver)
+//! * [`run_load`] — the seeded multi-connection load generator (`pdp-load`)
 //! * [`frame`] — the protocol
 
-pub mod client;
+mod client;
 pub mod frame;
-pub mod load;
-pub mod server;
+mod load;
+mod server;
 
 pub use client::{AckInfo, Client, ClientError};
 pub use frame::{Frame, FrameError, WireAnswer, WireCommand};

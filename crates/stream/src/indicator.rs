@@ -335,11 +335,6 @@ impl WindowedIndicators {
         &self.windows[i]
     }
 
-    /// Mutably borrow one window's vector.
-    pub fn window_mut(&mut self, i: usize) -> &mut IndicatorVector {
-        &mut self.windows[i]
-    }
-
     /// Iterate over windows in order.
     pub fn iter(&self) -> std::slice::Iter<'_, IndicatorVector> {
         self.windows.iter()

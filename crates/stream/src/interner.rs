@@ -85,11 +85,6 @@ impl TypeRegistry {
         self.len() == 0
     }
 
-    /// All registered types, in id order.
-    pub fn all_types(&self) -> Vec<EventType> {
-        (0..self.len() as u32).map(EventType).collect()
-    }
-
     /// True if `ty` is a valid id in this registry.
     pub fn contains(&self, ty: EventType) -> bool {
         (ty.0 as usize) < self.len()
@@ -115,7 +110,7 @@ mod tests {
         assert_eq!(reg.get("a"), Some(EventType(0)));
         assert_eq!(reg.get("b"), Some(EventType(1)));
         assert_eq!(reg.get("c"), Some(EventType(2)));
-        assert_eq!(reg.all_types().len(), 3);
+        assert_eq!(reg.len(), 3);
     }
 
     #[test]

@@ -14,22 +14,22 @@
 //!   the DP mechanisms observe **indicator vectors** `I(e) ∈ {0,1}` per event
 //!   type (Def. 5 of the paper).
 //!
-//! This crate provides those pieces: [`time`] (timestamps), [`event`] (typed
-//! events), [`interner`] (event-type names), [`schema`] (declared attributes),
-//! [`stream`] (event sequences and sources), [`merge`] (k-way temporal merge),
-//! [`window`] (tumbling/sliding/count windows) and [`indicator`] (per-window
-//! presence vectors).
+//! This crate provides those pieces: timestamps ([`Timestamp`],
+//! [`TimeDelta`]), typed events ([`Event`]), event-type names
+//! ([`TypeRegistry`]), ordered event sequences ([`EventStream`]), the k-way
+//! temporal merge ([`merge_streams`]), bounded out-of-order tolerance
+//! ([`ReorderBuffer`]), tumbling/sliding/count windows ([`WindowAssigner`])
+//! and per-window presence vectors ([`IndicatorVector`]).
 
-pub mod error;
-pub mod event;
-pub mod indicator;
-pub mod interner;
-pub mod merge;
-pub mod reorder;
-pub mod schema;
-pub mod stream;
-pub mod time;
-pub mod window;
+mod error;
+mod event;
+mod indicator;
+mod interner;
+mod merge;
+mod reorder;
+mod stream;
+mod time;
+mod window;
 
 pub use error::StreamError;
 pub use event::{AttrValue, Event, EventType};
@@ -37,7 +37,6 @@ pub use indicator::{words_for, IndicatorVector, TypeMask, WindowedIndicators};
 pub use interner::TypeRegistry;
 pub use merge::merge_streams;
 pub use reorder::{ReorderBuffer, ReorderSnapshot};
-pub use schema::{AttrKind, EventSchema, SchemaRegistry};
-pub use stream::{EventStream, StreamSource, VecSource};
+pub use stream::EventStream;
 pub use time::{TimeDelta, Timestamp};
 pub use window::{Window, WindowAssigner, WindowKind};

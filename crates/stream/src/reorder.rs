@@ -63,7 +63,6 @@
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::event::Event;
-use crate::stream::EventStream;
 use crate::time::{TimeDelta, Timestamp};
 
 /// How many slots back from the run's tail an arrival may be inserted;
@@ -284,12 +283,6 @@ impl ReorderBuffer {
     /// Events currently buffered.
     pub fn pending(&self) -> usize {
         self.run.len() + self.heap.len()
-    }
-
-    /// Convenience: reorder a whole recorded batch into an ordered stream
-    /// (no drops — batch mode sorts everything).
-    pub fn reorder_batch(events: Vec<Event>) -> EventStream {
-        EventStream::from_unordered(events)
     }
 
     /// Plain-data snapshot of the buffer's exact state. The pending

@@ -1,12 +1,10 @@
-//! Event streams: ordered sequences of events and pull-based sources.
+//! Event streams: ordered sequences of events.
 //!
 //! [`EventStream`] is the in-memory, temporally ordered event sequence
-//! `S_E = (e_1, e_2, …)` of §III-A. [`StreamSource`] is the pull abstraction
-//! the CEP engine consumes (finite sources model recorded traces; the
-//! generators in `pdp-datasets` produce them).
+//! `S_E = (e_1, e_2, …)` of §III-A.
 
 use crate::error::StreamError;
-use crate::event::{Event, EventType};
+use crate::event::Event;
 use crate::time::Timestamp;
 
 /// An in-memory, temporally ordered event stream.
@@ -103,20 +101,6 @@ impl EventStream {
         let hi = self.events.partition_point(|e| e.ts < to);
         &self.events[lo..hi]
     }
-
-    /// Extract the sub-stream of events whose type satisfies `pred`,
-    /// preserving order. This is the paper's "extract all events from a given
-    /// data stream" step (data stream → event stream).
-    pub fn filter_types<F: Fn(EventType) -> bool>(&self, pred: F) -> EventStream {
-        EventStream {
-            events: self.events.iter().filter(|e| pred(e.ty)).cloned().collect(),
-        }
-    }
-
-    /// Count events of a given type.
-    pub fn count_type(&self, ty: EventType) -> usize {
-        self.events.iter().filter(|e| e.ty == ty).count()
-    }
 }
 
 impl IntoIterator for EventStream {
@@ -135,56 +119,10 @@ impl<'a> IntoIterator for &'a EventStream {
     }
 }
 
-/// A pull-based source of events in non-decreasing timestamp order.
-pub trait StreamSource {
-    /// The next event, or `None` when the source is exhausted.
-    fn next_event(&mut self) -> Option<Event>;
-
-    /// Drain the source into an [`EventStream`].
-    fn collect_stream(&mut self) -> EventStream {
-        let mut out = EventStream::new();
-        while let Some(e) = self.next_event() {
-            // Sources promise ordering; fall back to sorting if one lies.
-            if out.push(e.clone()).is_err() {
-                let mut evs = out.into_events();
-                evs.push(e);
-                out = EventStream::from_unordered(evs);
-            }
-        }
-        out
-    }
-}
-
-/// A source backed by a vector of pre-recorded events.
-#[derive(Debug, Clone)]
-pub struct VecSource {
-    events: std::vec::IntoIter<Event>,
-}
-
-impl VecSource {
-    /// Wrap an ordered event vector.
-    pub fn new(events: Vec<Event>) -> Self {
-        VecSource {
-            events: events.into_iter(),
-        }
-    }
-}
-
-impl From<EventStream> for VecSource {
-    fn from(s: EventStream) -> Self {
-        VecSource::new(s.into_events())
-    }
-}
-
-impl StreamSource for VecSource {
-    fn next_event(&mut self) -> Option<Event> {
-        self.events.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventType;
     use proptest::prelude::*;
 
     fn e(ty: u32, ms: i64) -> Event {
@@ -230,30 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn filter_types_preserves_order() {
-        let s = EventStream::from_ordered(vec![e(0, 0), e(1, 1), e(0, 2), e(2, 3)]).unwrap();
-        let f = s.filter_types(|t| t == EventType(0));
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.events()[0].ts, Timestamp::from_millis(0));
-        assert_eq!(f.events()[1].ts, Timestamp::from_millis(2));
-    }
-
-    #[test]
     fn start_end_and_counts() {
         let s = EventStream::from_ordered(vec![e(0, 1), e(0, 4), e(1, 9)]).unwrap();
         assert_eq!(s.start(), Some(Timestamp::from_millis(1)));
         assert_eq!(s.end(), Some(Timestamp::from_millis(9)));
-        assert_eq!(s.count_type(EventType(0)), 2);
-        assert_eq!(s.count_type(EventType(7)), 0);
         assert!(EventStream::new().start().is_none());
-    }
-
-    #[test]
-    fn vec_source_drains_in_order() {
-        let mut src = VecSource::new(vec![e(0, 1), e(1, 2)]);
-        let s = src.collect_stream();
-        assert_eq!(s.len(), 2);
-        assert!(src.next_event().is_none());
     }
 
     proptest! {

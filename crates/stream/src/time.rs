@@ -35,11 +35,6 @@ impl Timestamp {
         self.0
     }
 
-    /// Saturating difference to another timestamp.
-    pub const fn delta_since(self, earlier: Timestamp) -> TimeDelta {
-        TimeDelta(self.0 - earlier.0)
-    }
-
     /// Index of the tumbling window of `len` containing this timestamp.
     ///
     /// Timestamps are assigned to `[k·len, (k+1)·len)`. Negative timestamps
