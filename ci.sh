@@ -67,8 +67,9 @@ fi
 # The deployable binaries themselves: a real pdp-server process on an
 # ephemeral port, a seeded pdp-load churn run against it (subscriptions,
 # watermarks, epoch transitions), then a graceful remote shutdown —
-# the gate fails on a non-zero exit, zero acked batches, or a server
-# that never comes down.
+# the gate fails on a non-zero exit, zero acked batches, zero
+# deliveries to the subscribed connection although the run advanced the
+# watermark, or a server that never comes down.
 echo "==> pdp-server / pdp-load loopback smoke"
 server_log="$(mktemp -t pdp_server.XXXXXX.log)"
 cargo run --release -q -p pdp-server --bin pdp-server -- --addr 127.0.0.1:0 --shards 4 >"$server_log" &

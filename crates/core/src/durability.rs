@@ -15,11 +15,10 @@
 //!   every shard (reorder buffer, engine windows/ledgers/detector, RNG
 //!   position), the service-side accounting (per-subject epoch ledgers,
 //!   merge accumulators, epoch cores, control plane) and the WAL offset it
-//!   is consistent with. Captured only at **draining sync points**
-//!   ([`crate::service::ShardedService::checkpoint_into`] folds all
-//!   in-flight rounds and flushes the outbox first), so a checkpoint never
-//!   contains an in-flight round or an undelivered release — the sealed
-//!   audit surface is never serialized;
+//!   is consistent with. Captured only between calls (every call
+//!   settles and delivers its own round before it returns), so a
+//!   checkpoint never contains an in-flight round or an undelivered
+//!   release — the sealed audit surface is never serialized;
 //! * **write-ahead log** ([`WalWriter`] / [`read_wal_from`]): a framed
 //!   record stream of every *input* the service accepted after the
 //!   checkpoint — ingested batches, watermark heartbeats, control-plane
@@ -544,8 +543,8 @@ pub struct MergeSnapshot {
     pub rows: Vec<MergeRowSnapshot>,
 }
 
-/// A full, self-contained image of a [`ShardedService`] captured at a
-/// draining sync point (no in-flight rounds, empty outbox). Pair with the
+/// A full, self-contained image of a [`ShardedService`] captured between
+/// calls (no in-flight round, nothing undelivered). Pair with the
 /// same [`ServiceConfig`](crate::service::ServiceConfig) the service was
 /// built with to [`ShardedService::restore`] it.
 #[derive(Debug, Clone, PartialEq)]

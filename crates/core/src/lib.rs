@@ -45,8 +45,8 @@
 //! * [`codec`] — the one byte codec every checkpoint, WAL record and
 //!   network frame is laid out with;
 //! * [`WalWriter`] / [`ServiceCheckpoint`] — crash consistency for the
-//!   sharded service: full plain-data checkpoints captured at draining
-//!   sync points plus a checksummed, sequence-numbered write-ahead log of
+//!   sharded service: full plain-data checkpoints captured between calls
+//!   plus a checksummed, sequence-numbered write-ahead log of
 //!   accepted inputs; recovery loads the checkpoint and replays the WAL
 //!   tail for bit-identical output;
 //! * [`SupervisorConfig`] — crash *resilience* on top: scripted

@@ -39,27 +39,25 @@
 //!   `std::thread` + channels — no external dependencies). Each worker
 //!   permanently owns its shard's state — [`ReorderBuffer`],
 //!   [`StreamingEngine`] and [`DpRng`] — behind an `Arc<Mutex<…>>` the
-//!   service thread only locks at explicit **sync points**
-//!   ([`ShardedService::finish`], [`ShardedService::begin_epoch`],
-//!   checkpoint-style reads), when all workers are idle and the locks are
-//!   uncontended. Nothing is moved over a channel per job;
+//!   service thread only locks between calls
+//!   ([`ShardedService::begin_epoch`], checkpoints), when every worker
+//!   is idle and the locks are uncontended. Nothing is moved over a
+//!   channel per job;
 //! * **double-buffered bounded hand-off**:
 //!   [`ShardedService::push_batch`] partitions a batch into per-shard
 //!   sub-batch buffers that are swapped into a **bounded** SPSC job queue
-//!   the moment they fill, so partitioning of batch *k+1* overlaps shard
-//!   work on batch *k*. Backpressure is the queue filling up (the send
+//!   the moment they fill, so partitioning a batch's tail overlaps shard
+//!   work on its head. Backpressure is the queue filling up (the send
 //!   blocks); memory never grows unboundedly. Emptied buffers ride the
 //!   reply channel back and are reused — the steady state recycles
 //!   allocations instead of making them;
-//! * **deferred fold-back (one-call lag)**: a `push_batch` call settles
-//!   and delivers the releases of the *previous* call's round, then
-//!   submits its own and returns while the shards are still working.
-//!   Replies fold back **in shard order** via per-shard FIFO reply
-//!   channels, so accounting, merging and output are deterministic
-//!   regardless of thread scheduling. Every other operation
-//!   (`advance_watermark`, `finish`, `begin_epoch`, stats reads) is a
-//!   draining sync point: it folds all in-flight work first, so its
-//!   output includes everything submitted before it. Each shard's RNG
+//! * **same-call fold-back**: every call submits its round's jobs to all
+//!   shards first, then collects the replies, settles them and delivers
+//!   into the caller's sink before it returns — nothing is in flight
+//!   between calls, so the sink passed to a call receives exactly that
+//!   call's releases. Replies fold back **in shard order** via per-shard
+//!   FIFO reply channels, so accounting, merging and output are
+//!   deterministic regardless of thread scheduling. Each shard's RNG
 //!   lives with its engine, so an N-shard parallel run is bit-for-bit
 //!   identical to the inline one — and a 1-shard service stays
 //!   bit-for-bit a plain [`StreamingEngine`];
@@ -125,12 +123,12 @@
 //!   journal every accepted input to a write-ahead log and image its full
 //!   state into a [`ServiceCheckpoint`]. The consistency contract:
 //!
-//!   - **checkpoint-safe sync points.** [`ShardedService::checkpoint_into`]
-//!     is a draining sync point: it folds every in-flight round and
-//!     flushes the outbox into the caller's sink *before* imaging, so a
-//!     checkpoint never contains an in-flight round, an undelivered
-//!     release, or a sealed audit record. Any state a checkpoint captures
-//!     has already been delivered and charged.
+//!   - **checkpoints between calls.** Every call settles and delivers
+//!     its own round before it returns, so
+//!     [`ShardedService::checkpoint_into`] never images an in-flight
+//!     round, an undelivered release, or a sealed audit record. Any
+//!     state a checkpoint captures has already been delivered and
+//!     charged.
 //!   - **write-ahead commands, write-behind effects.** Control-plane
 //!     commands are logged *before* they are staged (their replay
 //!     re-fails deterministically if the plane rejected them); batches
@@ -475,13 +473,11 @@ impl ServiceBuilder {
             merged_state: QueryStateSet::new(),
             activations: Vec::new(),
             control: self.control,
-            pending: VecDeque::new(),
-            outbox: VecDeque::new(),
             deferred: None,
             fill,
             spare,
             route_scratch: Vec::new(),
-            round_pool: Vec::new(),
+            round: Round::default(),
             settle_scratch: Vec::new(),
             merged_scratch: Vec::new(),
             wrapper_sink: VecSink::subscribed([]),
@@ -510,8 +506,8 @@ impl ServiceBuilder {
 
 /// One shard's resident state: the reorder buffer, the engine and its
 /// RNG. Owned by the shard's worker thread in parallel mode (the service
-/// thread holds the same `Arc<Mutex<…>>` and locks it only at sync
-/// points, when the worker is idle); owned outright in inline mode.
+/// thread holds the same `Arc<Mutex<…>>` and locks it only between
+/// calls, when the worker is idle); owned outright in inline mode.
 /// Everything the service needs on its own hot path (routing, ledgers,
 /// merge accumulators, watermark mirrors) lives on the service side.
 #[derive(Debug, Clone)]
@@ -578,8 +574,8 @@ impl Shard {
     /// of the shard's observable stats — so the service thread can serve
     /// reads from mirrors without ever locking the shard mid-flight.
     ///
-    /// An engine error is carried in the reply and surfaces, typed, on
-    /// the service's next fallible call. When an `Ingest` job fails that
+    /// An engine error is carried in the reply and surfaces, typed, from
+    /// the call whose round ran the job. When an `Ingest` job fails that
     /// way the **whole** sub-batch has already been offered to the
     /// reorder buffer (events behind the failing one stay pending or
     /// were dropped as late); the events released but not yet fed to the
@@ -718,10 +714,11 @@ fn partition_buffers(n_shards: usize) -> (Vec<Vec<Event>>, Vec<Vec<Event>>) {
 /// sends, which would put a heap allocation on the steady-state ingest
 /// path; this queue reaches its high-water capacity during warmup and
 /// then recycles it forever. Occupancy is bounded by the jobs of the
-/// in-flight round (*not* by `QUEUE_DEPTH` — a large batch parks every
-/// sub-batch reply here until the next call's fold), which is why the
-/// lane must stay unbounded: a bounded reply queue would deadlock the
-/// submitter against its own uncollected round.
+/// current round (*not* by `QUEUE_DEPTH` — a large batch parks every
+/// sub-batch reply here until the call has submitted its whole round and
+/// starts folding), which is why the lane must stay unbounded: a bounded
+/// reply queue would deadlock the submitter against its own uncollected
+/// round.
 #[derive(Debug, Default)]
 struct ReplyQueue {
     inner: Mutex<ReplyQueueInner>,
@@ -739,9 +736,9 @@ struct ReplyQueueInner {
 }
 
 impl ReplyQueue {
-    /// A queue pre-sized for the common occupancy envelope: the queued
-    /// jobs of two overlapping pipelined rounds (`QUEUE_DEPTH` each)
-    /// plus execution/fold slack. Larger batches can still outgrow this
+    /// A queue pre-sized for the common occupancy envelope: one round's
+    /// queued jobs (`QUEUE_DEPTH`) plus generous execution/fold slack.
+    /// Larger batches can still outgrow this
     /// — the `VecDeque` then grows once and keeps the capacity — but
     /// pre-reserving keeps the typical workload off the allocator even
     /// when reply drain timing varies run to run.
@@ -801,8 +798,8 @@ impl Drop for DisconnectOnExit {
 /// `Arc<Mutex<…>>`. Jobs stream in over a **bounded** SPSC channel
 /// (backpressure = a full queue blocks the submitter); replies stream
 /// back over an unbounded allocation-recycling [`ReplyQueue`] whose
-/// occupancy is bounded by the in-flight round's job count. The service
-/// thread locks the shard only at sync points, when the worker has
+/// occupancy is bounded by the current round's job count. The service
+/// thread locks the shard only between calls, when the worker has
 /// drained its queue and the lock is uncontended.
 #[derive(Debug)]
 struct WorkerHandle {
@@ -824,8 +821,9 @@ impl WorkerHandle {
                     // a panic mid-job (scripted poison or an engine bug)
                     // poisons the mutex as the guard unwinds; catch it so
                     // the thread exits cleanly — without a reply — and
-                    // the service sees the shortfall at the next fold
-                    // instead of an opaque propagated panic at join time
+                    // the service sees the shortfall when it folds the
+                    // round instead of an opaque propagated panic at join
+                    // time
                     let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let mut shard = shard.lock().unwrap_or_else(|p| p.into_inner());
                         shard.execute(job)
@@ -998,9 +996,10 @@ pub struct EpochTransition {
 /// The service-side mirror of one shard's observable state, updated at
 /// routing time (`max_seen` — deterministically identical to the shard
 /// buffer's clock, because routing sees every event the buffer will see)
-/// and from job replies (everything else — exact once in-flight work has
-/// folded). Mirrors are what let stats reads and the global low watermark
-/// work without locking a shard or waiting on a barrier.
+/// and from job replies (everything else — exact whenever no call is
+/// running, because every call folds its own round). Mirrors are what let
+/// stats reads and the global low watermark work without locking a shard
+/// or waiting on a barrier.
 #[derive(Debug, Clone, Default)]
 struct ShardMeta {
     /// Subjects routed to this shard. A shard with none can never receive
@@ -1036,52 +1035,29 @@ impl ShardMeta {
     }
 }
 
-/// One submitted unit of pipelined work: per shard, either the number of
-/// in-flight job replies to collect (parallel mode) or the jobs to run
-/// lazily at fold time (inline mode — deferred identically, so inline
-/// and parallel services produce bit-identical per-call output).
-#[derive(Debug)]
+/// The shard work of one call, built and folded before the call returns:
+/// per shard, either the number of job replies to collect (parallel mode)
+/// or the jobs to run at fold time (inline mode — run at the same point,
+/// so inline and parallel services produce bit-identical per-call
+/// output).
+#[derive(Debug, Default)]
 struct Round {
     /// Per shard: replies outstanding on the worker (parallel mode).
     expected: Vec<usize>,
-    /// Per shard: jobs queued for lazy execution (inline mode).
+    /// Per shard: jobs queued for execution at fold time (inline mode).
     queued: Vec<Vec<ShardJob>>,
-    /// This round is the last of its ingestion call: drain the merge
-    /// accumulator after settling it.
-    ends_call: bool,
 }
 
 impl Round {
-    fn new(n_shards: usize) -> Round {
-        Round {
-            expected: vec![0; n_shards],
-            queued: (0..n_shards).map(|_| Vec::new()).collect(),
-            ends_call: false,
-        }
-    }
-
-    /// Reset a recycled round for reuse (see `ShardedService::take_round`)
+    /// Reset the recycled round for reuse (see `ShardedService::take_round`)
     /// — counters zeroed, queued-job vectors emptied with their capacity
-    /// kept, so a pooled round re-enters the pipeline without allocating.
+    /// kept, so each call's round is built without allocating.
     fn reset(&mut self, n_shards: usize) {
         self.expected.clear();
         self.expected.resize(n_shards, 0);
         self.queued.iter_mut().for_each(Vec::clear);
         self.queued.resize_with(n_shards, Vec::new);
-        self.ends_call = false;
     }
-}
-
-/// One settled delivery waiting in the outbox. Folding settles releases
-/// (ledgers, merge accumulators, control-plane history) immediately;
-/// delivery to a consumer sink happens at the next sink-taking call, so
-/// sink-less sync points (`begin_epoch`, stats reads, `sync`) never lose
-/// output.
-#[derive(Debug)]
-enum Delivery {
-    Shard(ShardRelease),
-    Answer(QueryAnswer),
-    Merged(MergedRelease),
 }
 
 /// `splitmix64`-based hasher for subject routing: one multiply-xor chain
@@ -1216,9 +1192,9 @@ impl RouteTable {
 #[derive(Debug)]
 pub struct ShardedService {
     /// Shard-resident state, shared with the worker threads in parallel
-    /// mode. The service thread locks a shard only at sync points (all
-    /// in-flight work folded, workers idle) or in inline mode — both
-    /// uncontended by construction.
+    /// mode. The service thread locks a shard only between calls (every
+    /// round folded, workers idle) or in inline mode — both uncontended
+    /// by construction.
     shards: Vec<Arc<Mutex<Shard>>>,
     /// One persistent worker thread per shard (empty in inline mode).
     workers: Vec<WorkerHandle>,
@@ -1265,12 +1241,10 @@ pub struct ShardedService {
     /// scheduling order — how the service knows which epoch's queries are
     /// in force without reading a shard engine.
     activations: Vec<(usize, u64)>,
-    /// Submitted-but-unfolded rounds, oldest first (the pipeline lag).
-    pending: VecDeque<Round>,
-    /// Settled deliveries awaiting the next sink-taking call.
-    outbox: VecDeque<Delivery>,
-    /// The first error a folded round produced, surfaced by the next
-    /// fallible operation (deliveries already settled stay settled).
+    /// The first error a fold (or an infallible staging wrapper) met,
+    /// surfaced when the current call returns — or, from a staging
+    /// wrapper, by the next fallible operation. Deliveries already made
+    /// stay delivered.
     deferred: Option<CoreError>,
     /// Per-shard sub-batch fill buffers (the partitioner's double-buffer
     /// front half).
@@ -1280,16 +1254,16 @@ pub struct ShardedService {
     /// Persistent scratch for the per-batch route resolution — cleared
     /// and refilled each `push_batch`, never reallocated once warmed.
     route_scratch: Vec<u32>,
-    /// Recycled [`Round`]s: folding returns a round's vectors here so the
-    /// next submission reuses their capacity instead of allocating.
-    round_pool: Vec<Round>,
+    /// The recycled [`Round`]: folding hands its vectors back here so the
+    /// next call reuses their capacity instead of allocating.
+    round: Round,
     /// Persistent scratch for the releases one shard's fold settles.
     settle_scratch: Vec<WindowRelease>,
     /// Persistent scratch for the merged rows one fold drains.
     merged_scratch: Vec<MergedRelease>,
     /// The persistent no-subscription sink behind the legacy
     /// return-value wrappers (`push_batch`, `advance_watermark`,
-    /// `finish`, `checkpoint`) — one sink reused across calls instead of
+    /// `finish`, `shutdown`) — one sink reused across calls instead of
     /// one constructed per call.
     wrapper_sink: VecSink,
     n_types: usize,
@@ -1310,7 +1284,7 @@ pub struct ShardedService {
     /// Scripted chaos ([`ShardedService::inject_faults`]), consulted at
     /// every round submission and WAL append attempt.
     injector: Option<FaultInjector>,
-    /// Pipeline rounds submitted so far; [`FaultPlan`] rounds are
+    /// Rounds run so far; [`FaultPlan`] rounds are
     /// 1-based indices into this counter.
     rounds_submitted: u64,
     /// Shards flagged to receive a poison job at the head of their next
@@ -1391,16 +1365,12 @@ impl ShardedService {
         self.with_wrapper_sink(|service, sink| service.push_batch_into(batch, sink))
     }
 
-    /// A fresh round for submission, recycled from the pool when one is
-    /// available (its vectors keep their capacity across the pipeline).
+    /// A fresh round for submission, recycled from the previous call (its
+    /// vectors keep their capacity).
     fn take_round(&mut self) -> Round {
-        match self.round_pool.pop() {
-            Some(mut round) => {
-                round.reset(self.shards.len());
-                round
-            }
-            None => Round::new(self.shards.len()),
-        }
+        let mut round = std::mem::take(&mut self.round);
+        round.reset(self.shards.len());
+        round
     }
 
     /// Run one sink-delivering operation through the persistent
@@ -1434,28 +1404,20 @@ impl ShardedService {
     /// consumer path. On error, deliveries already made stay delivered:
     /// they are real releases that spent budget.
     ///
-    /// Ingestion is **pipelined with a one-call lag**: this call first
-    /// settles and delivers the previous `push_batch` round, then
-    /// partitions and submits its own and returns while the shards are
-    /// still working on it. Sub-batches are swapped into each shard's
-    /// bounded job queue as they fill (a full queue blocks — the
-    /// backpressure contract), and the deferred releases are delivered by
-    /// the next call, or by any draining sync point
-    /// ([`ShardedService::advance_watermark`], [`ShardedService::finish`],
-    /// [`ShardedService::sync`], stats reads).
+    /// Every release the batch causes is delivered before this call
+    /// returns, and an error the batch's round meets is returned by this
+    /// call. In parallel mode the batch is partitioned into sub-batches
+    /// swapped into each shard's bounded job queue as they fill (a full
+    /// queue blocks — the backpressure contract), so the shards work on
+    /// the batch's head while its tail is still being split; the call
+    /// then collects every shard's replies in shard order.
     pub fn push_batch_into<S: ReleaseSink>(
         &mut self,
         batch: Vec<KeyedEvent>,
         sink: &mut S,
     ) -> Result<(), CoreError> {
         self.ensure_live()?;
-        // scripted worker faults land before the fold, while the previous
-        // round may still be in flight (a killed worker drains its queue
-        // before exiting, so that round still settles deterministically)
         self.apply_due_faults();
-        // settle and deliver the previous round (the pipeline lag)
-        self.fold_pending();
-        self.flush_outbox(sink);
         self.take_deferred()?;
         // atomic rejection: resolve every subject before any event moves.
         // The resolution buffer is persistent scratch — cleared, refilled
@@ -1506,15 +1468,13 @@ impl ShardedService {
         // so the advance rides in the same round — no barrier between
         // ingestion and watermark alignment (a stale-or-equal target is a
         // shard-side no-op)
-        if let Some(low) = self.low_watermark_unsynced() {
+        if let Some(low) = self.low_watermark() {
             for shard_idx in 0..self.shards.len() {
                 self.submit_job(shard_idx, ShardJob::Advance(low), &mut round);
             }
         }
-        round.ends_call = true;
-        self.push_round(round);
-        // a dead worker surfaces here, on the submitting call (unless a
-        // supervisor queued the lost jobs for inline execution at fold)
+        self.run_round(round, sink);
+        self.drain_merged(sink);
         self.take_deferred()
     }
 
@@ -1527,11 +1487,9 @@ impl ShardedService {
         self.with_wrapper_sink(|service, sink| service.advance_watermark_into(ts, sink))
     }
 
-    /// Sink-delivering form of [`ShardedService::advance_watermark`].
-    ///
-    /// A draining sync point: the previous round settles and delivers
-    /// first, then the heartbeat round runs to completion and delivers —
-    /// nothing is left in flight when this returns.
+    /// Sink-delivering form of [`ShardedService::advance_watermark`]:
+    /// the heartbeat round runs to completion and delivers before this
+    /// returns.
     pub fn advance_watermark_into<S: ReleaseSink>(
         &mut self,
         ts: Timestamp,
@@ -1539,8 +1497,6 @@ impl ShardedService {
     ) -> Result<(), CoreError> {
         self.ensure_live()?;
         self.apply_due_faults();
-        self.fold_pending();
-        self.flush_outbox(sink);
         self.take_deferred()?;
         self.wal_append(|wal| wal.append(&WalRecord::Watermark(ts)))?;
         let mut round = self.take_round();
@@ -1549,15 +1505,13 @@ impl ShardedService {
             self.meta[shard_idx].observe(ts);
             self.submit_job(shard_idx, ShardJob::Heartbeat(ts), &mut round);
         }
-        if let Some(low) = self.low_watermark_unsynced() {
+        if let Some(low) = self.low_watermark() {
             for shard_idx in 0..self.shards.len() {
                 self.submit_job(shard_idx, ShardJob::Advance(low), &mut round);
             }
         }
-        round.ends_call = true;
-        self.push_round(round);
-        self.fold_pending();
-        self.flush_outbox(sink);
+        self.run_round(round, sink);
+        self.drain_merged(sink);
         self.take_deferred()
     }
 
@@ -1572,8 +1526,8 @@ impl ShardedService {
 
     /// Sink-delivering form of [`ShardedService::finish`].
     ///
-    /// The terminal sync point: drains the pipeline, flushes and closes
-    /// every shard, and delivers everything before sealing the service.
+    /// Flushes and closes every shard, and delivers everything before
+    /// sealing the service.
     pub fn finish_into<S: ReleaseSink>(&mut self, sink: &mut S) -> Result<(), CoreError> {
         self.ensure_live()?;
         // worker kills may land here (their jobs are preserved and run
@@ -1581,8 +1535,6 @@ impl ShardedService {
         // a `Finish` record mid-finish would double-close the shard — so
         // `submit_poisons` is deliberately not called below
         self.apply_due_faults();
-        self.fold_pending();
-        self.flush_outbox(sink);
         self.take_deferred()?;
         self.wal_append(|wal| wal.append(&WalRecord::Finish))?;
         self.finished = true;
@@ -1590,9 +1542,8 @@ impl ShardedService {
         for shard_idx in 0..self.shards.len() {
             self.submit_job(shard_idx, ShardJob::Flush, &mut flush);
         }
-        self.push_round(flush);
         // barrier: the final frontier needs every shard's flushed clock
-        self.fold_pending();
+        self.run_round(flush, sink);
         let end = self
             .meta
             .iter()
@@ -1603,10 +1554,8 @@ impl ShardedService {
         for shard_idx in 0..self.shards.len() {
             self.submit_job(shard_idx, ShardJob::Close(end), &mut close);
         }
-        close.ends_call = true;
-        self.push_round(close);
-        self.fold_pending();
-        self.flush_outbox(sink);
+        self.run_round(close, sink);
+        self.drain_merged(sink);
         self.take_deferred()
     }
 
@@ -1614,14 +1563,13 @@ impl ShardedService {
     /// calling [`ShardedService::finish`] (if the stream is still open)
     /// followed by a WAL fsync, in the right order:
     ///
-    /// 1. the pipeline drains and every in-flight round settles;
-    /// 2. every shard flushes its reorder buffer and closes its open
+    /// 1. every shard flushes its reorder buffer and closes its open
     ///    windows on one aligned final frontier (skipped when the service
     ///    is already finished — `shutdown` is idempotent);
-    /// 3. everything settled is delivered (here into the legacy
+    /// 2. everything that settles is delivered (here into the legacy
     ///    [`BatchOutput`]; see [`ShardedService::shutdown_into`] for the
     ///    sink form);
-    /// 4. the attached WAL, if any, is fsynced — the true durability
+    /// 3. the attached WAL, if any, is fsynced — the true durability
     ///    barrier, so nothing accepted before the shutdown can be lost.
     ///
     /// Callers no longer need to know to call `sync()` / `finish` / the
@@ -1632,16 +1580,12 @@ impl ShardedService {
         self.with_wrapper_sink(|service, sink| service.shutdown_into(sink))
     }
 
-    /// Sink-delivering form of [`ShardedService::shutdown`]: settles the
-    /// pipeline, finishes the stream (unless already finished), flushes
-    /// every pending delivery into `sink`, and fsyncs the WAL. Idempotent:
-    /// a second call only re-drains (a no-op on an idle service) and
-    /// re-fsyncs.
+    /// Sink-delivering form of [`ShardedService::shutdown`]: finishes the
+    /// stream (unless already finished), delivering what that settles into
+    /// `sink`, and fsyncs the WAL. Idempotent: a second call delivers
+    /// nothing, surfaces any deferred error and re-fsyncs.
     pub fn shutdown_into<S: ReleaseSink>(&mut self, sink: &mut S) -> Result<(), CoreError> {
         if self.finished {
-            // already sealed: just settle anything in flight and deliver
-            self.fold_pending();
-            self.flush_outbox(sink);
             self.take_deferred()?;
         } else {
             self.finish_into(sink)?;
@@ -1652,15 +1596,16 @@ impl ShardedService {
         Ok(())
     }
 
-    /// Settle fully merged windows into the outbox — typed answers first
-    /// (one [`QueryAnswer`] per active query, ascending id; subscription
-    /// filtering happens at delivery), then the [`MergedRelease`] itself —
-    /// and feed each population-level protected view into the control
-    /// plane's sliding history (the online adaptive PPM's input).
-    /// Deterministic and draw-free: typed answers are pure functions of
-    /// the already-noised merged row, so computing them at fold time (even
-    /// when no sink subscribes) changes no randomness downstream.
-    fn drain_merged(&mut self) {
+    /// Deliver every fully merged window into `sink` — the subscribed
+    /// typed answers first (one [`QueryAnswer`] per active query the sink
+    /// [`wants`](ReleaseSink::wants), ascending id), then the
+    /// [`MergedRelease`] itself — and feed each population-level
+    /// protected view into the control plane's sliding history (the
+    /// online adaptive PPM's input). Runs once, at the end of every
+    /// delivering call. Deterministic and draw-free: typed answers are
+    /// pure functions of the already-noised merged row, so computing them
+    /// (even when no sink subscribes) changes no randomness downstream.
+    fn drain_merged<S: ReleaseSink>(&mut self, sink: &mut S) {
         let mut rows = std::mem::take(&mut self.merged_scratch);
         rows.clear();
         self.merge.drain_into(&mut rows);
@@ -1675,20 +1620,22 @@ impl ShardedService {
                         "merged window {} released under unknown epoch {}",
                         row.index, row.epoch
                     )));
-                self.outbox.push_back(Delivery::Merged(row));
+                sink.merged_release(row);
                 continue;
             };
             row.typed =
                 core.answer_merged(&row.answers_any, &row.protected_any, &mut self.merged_state);
             for (query, answer) in &row.typed {
-                self.outbox.push_back(Delivery::Answer(QueryAnswer {
-                    query: *query,
-                    window: row.index,
-                    epoch: row.epoch,
-                    answer: answer.clone(),
-                }));
+                if sink.wants(*query) {
+                    sink.answer(QueryAnswer {
+                        query: *query,
+                        window: row.index,
+                        epoch: row.epoch,
+                        answer: answer.clone(),
+                    });
+                }
             }
-            self.outbox.push_back(Delivery::Merged(row));
+            sink.merged_release(row);
         }
         self.merged_scratch = rows;
     }
@@ -1838,10 +1785,6 @@ impl ShardedService {
     /// plane's effective history.
     pub fn begin_epoch(&mut self) -> Result<Option<EpochTransition>, CoreError> {
         self.ensure_live()?;
-        // a sync point: the activation boundary needs every shard's true
-        // release count, so in-flight rounds settle first (settled
-        // deliveries stay queued for the next sink-taking call)
-        self.fold_pending();
         self.take_deferred()?;
         if !self.control.has_pending() {
             return Ok(None);
@@ -1981,24 +1924,32 @@ impl ShardedService {
     /// time. Either way the job is folded back in shard order.
     ///
     /// A dead worker never fails the round mid-flight — replies already in
-    /// the air still fold, so the pipeline's reply accounting never
+    /// the air still fold, so the round's reply accounting never
     /// desynchronizes. What happens to the bounced job depends on
     /// supervision: unsupervised, [`CoreError::ShardWorker`] is deferred
-    /// (the historical fail-fast contract). Supervised with a *clean*
-    /// shard mutex, the job is requeued for inline execution at fold time
-    /// — same lock, same order, bit-for-bit the fault-free output — and
-    /// the worker is respawned at the sync point. Supervised with a
-    /// *poisoned* mutex the job is dropped: the shard state cannot be
-    /// trusted, and the checkpoint + WAL rebuild at fold time re-derives
-    /// the whole round from the journal instead.
+    /// to the end of the call (the historical fail-fast contract).
+    /// Supervised with a *clean* shard mutex, the job is requeued for
+    /// inline execution at fold time — same lock, same order, bit-for-bit
+    /// the fault-free output — and the worker is respawned once the round
+    /// has folded. Supervised with a *poisoned* mutex the job is dropped:
+    /// the shard state cannot be trusted, and the checkpoint + WAL rebuild
+    /// at fold time re-derives the whole round from the journal instead.
     fn submit_job(&mut self, shard_idx: usize, job: ShardJob, round: &mut Round) {
         if self.parallel {
             match self.workers[shard_idx].submit(job) {
                 Ok(()) => round.expected[shard_idx] += 1,
                 Err(job) => {
                     if self.supervisor.is_none() {
-                        self.deferred
-                            .get_or_insert(CoreError::ShardWorker { shard: shard_idx });
+                        // a worker that died of a panic under the shard
+                        // lock is reported as the poison it left, exactly
+                        // as when its reply goes missing at fold time —
+                        // which of the two sees it first is a race
+                        let err = if self.shards[shard_idx].is_poisoned() {
+                            CoreError::ShardPoisoned { shard: shard_idx }
+                        } else {
+                            CoreError::ShardWorker { shard: shard_idx }
+                        };
+                        self.deferred.get_or_insert(err);
                     } else if !self.shards[shard_idx].is_poisoned() {
                         round.queued[shard_idx].push(job);
                         self.needs_respawn[shard_idx] = true;
@@ -2010,23 +1961,16 @@ impl ShardedService {
         }
     }
 
-    /// Settle every in-flight round: collect (or, inline, run) each
-    /// shard's jobs, fold the releases into ledgers, merge accumulators
-    /// and the outbox — **in shard order within each round**, which is the
-    /// reorder stage that keeps accounting and output deterministic while
-    /// replies arrive whenever shards finish. Errors are deferred to the
-    /// next fallible operation; everything released before a failure still
-    /// settles (it spent budget).
-    fn fold_pending(&mut self) {
-        while let Some(round) = self.pending.pop_front() {
-            self.fold_round(round);
-        }
-        // the pipeline is quiescent here — the sync point where dead
-        // workers are respawned (or the service degrades)
-        self.heal_workers();
-    }
-
-    fn fold_round(&mut self, mut round: Round) {
+    /// Settle one submitted round: collect (or, inline, run) each shard's
+    /// jobs and fold the releases into ledgers and merge accumulators,
+    /// delivering each shard release into `sink` — **in shard order**,
+    /// which is the reorder stage that keeps accounting and output
+    /// deterministic while replies arrive whenever shards finish. Errors
+    /// are deferred to the end of the call; everything released before a
+    /// failure still settles (it spent budget). Then, with every worker
+    /// idle, dead workers are respawned (or the service degrades).
+    fn run_round<S: ReleaseSink>(&mut self, mut round: Round, sink: &mut S) {
+        self.rounds_submitted += 1;
         let mut releases = std::mem::take(&mut self.settle_scratch);
         for shard_idx in 0..self.shards.len() {
             releases.clear();
@@ -2069,18 +2013,11 @@ impl ShardedService {
                     }
                 };
             }
-            self.settle(shard_idx, &mut releases);
+            self.settle(shard_idx, &mut releases, sink);
         }
         self.settle_scratch = releases;
-        let ends_call = round.ends_call;
-        // recycle the round's vectors for the next submission (bounded:
-        // the pipeline holds at most a handful of rounds at once)
-        if self.round_pool.len() < 4 {
-            self.round_pool.push(round);
-        }
-        if ends_call {
-            self.drain_merged();
-        }
+        self.round = round;
+        self.heal_workers();
     }
 
     /// Fold one shard reply: refresh the service-side stats mirror,
@@ -2104,23 +2041,6 @@ impl ShardedService {
             self.deferred.get_or_insert(e);
         }
         releases.extend(reply.releases);
-    }
-
-    /// Deliver everything the folds settled, in settling order. Answer
-    /// records are filtered by the sink's subscriptions here, at delivery
-    /// time — folds triggered by sink-less operations lose nothing.
-    fn flush_outbox<S: ReleaseSink>(&mut self, sink: &mut S) {
-        while let Some(delivery) = self.outbox.pop_front() {
-            match delivery {
-                Delivery::Shard(release) => sink.shard_release(release),
-                Delivery::Answer(answer) => {
-                    if sink.wants(answer.query) {
-                        sink.answer(answer);
-                    }
-                }
-                Delivery::Merged(merged) => sink.merged_release(merged),
-            }
-        }
     }
 
     // ---- supervision: scripted faults, healing, health ----
@@ -2155,10 +2075,8 @@ impl ShardedService {
 
     /// Supervision snapshot: execution mode, degradation flag, per-shard
     /// liveness/poison/heal counts, WAL retry counters and the heal log.
-    /// A sync point (in-flight rounds fold first) so liveness is current;
-    /// deferred errors stay deferred — this is a read, not a drain.
-    pub fn health(&mut self) -> HealthReport {
-        self.fold_pending();
+    /// Deferred errors stay deferred — this is a read, not a drain.
+    pub fn health(&self) -> HealthReport {
         HealthReport {
             parallel: self.parallel,
             degraded: self.degraded,
@@ -2177,8 +2095,8 @@ impl ShardedService {
     }
 
     /// Fire the scripted worker faults due before the next round: kills
-    /// sever the target's job channel now (mid-pipeline — the previous
-    /// round may still be in flight), poisons flag the shard so a poison
+    /// sever the target's job channel now (the worker is idle between
+    /// calls, so it exits at once), poisons flag the shard so a poison
     /// job leads its next eligible round. No-ops in inline mode: there is
     /// no worker thread to fault.
     fn apply_due_faults(&mut self) {
@@ -2215,13 +2133,6 @@ impl ShardedService {
                 self.submit_job(shard_idx, ShardJob::Poison, round);
             }
         }
-    }
-
-    /// Queue one built round and advance the round counter the
-    /// [`FaultPlan`] schedule is indexed by.
-    fn push_round(&mut self, round: Round) {
-        self.pending.push_back(round);
-        self.rounds_submitted += 1;
     }
 
     /// Append to the WAL (no-op when none is attached) with supervised
@@ -2323,7 +2234,6 @@ impl ShardedService {
         let mut sink = VecSink::all();
         replay_into(&mut scratch, records, &mut sink)?;
         scratch.sync()?;
-        scratch.flush_outbox(&mut sink);
         if scratch.events_ingested != self.events_ingested {
             return Err(CoreError::Durability(format!(
                 "shard {shard_idx} rebuild diverged: replay ingested {} events, \
@@ -2350,8 +2260,8 @@ impl ShardedService {
 
     /// Respawn the workers flagged dead, or — once a shard's heal budget
     /// is exhausted — tear the pool down and degrade to inline execution
-    /// for good. Runs only at sync points (pipeline quiescent), so
-    /// replacing a worker never strands an in-flight reply.
+    /// for good. Runs only after a round has folded (every worker idle),
+    /// so replacing a worker never strands an in-flight reply.
     fn heal_workers(&mut self) {
         if !self.parallel {
             self.needs_respawn.iter_mut().for_each(|f| *f = false);
@@ -2405,12 +2315,11 @@ impl ShardedService {
         }
     }
 
-    /// Drain the pipeline: settle every in-flight round and surface any
-    /// deferred error. Settled deliveries stay queued for the next
-    /// sink-taking call. Required before [`Clone`]; a no-op on an idle
-    /// service.
+    /// Surface the error an infallible staging wrapper deferred (a failed
+    /// WAL append of a command), if any. Nothing is ever in flight
+    /// between calls — every call settles, delivers and heals its own
+    /// round — so there is nothing else to settle here.
     pub fn sync(&mut self) -> Result<(), CoreError> {
-        self.fold_pending();
         self.take_deferred()
     }
 
@@ -2445,12 +2354,12 @@ impl ShardedService {
         })
     }
 
-    /// Image the full service state into a [`ServiceCheckpoint`] — a
-    /// **checkpoint-safe sync point**: every in-flight round folds and the
-    /// outbox flushes into `sink` first, so the image never contains an
-    /// in-flight round or an undelivered release, and everything it does
-    /// contain has already been delivered and charged. The image pairs
-    /// with the [`ServiceConfig`] the service was built with
+    /// Image the full service state into a [`ServiceCheckpoint`]. Every
+    /// call settles and delivers its own round before returning, so the
+    /// image never contains an in-flight round or an undelivered release,
+    /// and everything it does contain has already been delivered and
+    /// charged; `sink` therefore receives nothing. The image pairs with
+    /// the [`ServiceConfig`] the service was built with
     /// ([`ShardedService::restore`]) and records the WAL offset recovery
     /// should replay from.
     ///
@@ -2461,14 +2370,12 @@ impl ShardedService {
     /// after it redraw identically).
     pub fn checkpoint_into<S: ReleaseSink>(
         &mut self,
-        sink: &mut S,
+        _sink: &mut S,
     ) -> Result<ServiceCheckpoint, CoreError> {
-        self.fold_pending();
-        self.flush_outbox(sink);
         self.take_deferred()?;
-        // workers are idle (all rounds folded): the shard locks are
-        // uncontended, exactly as at every other sync point. A poisoned
-        // shard must never be imaged — its state may be mid-job.
+        // workers are idle between calls: the shard locks are
+        // uncontended. A poisoned shard must never be imaged — its state
+        // may be mid-job.
         let mut shards = Vec::with_capacity(self.shards.len());
         for (shard_idx, shard) in self.shards.iter().enumerate() {
             let guard = shard
@@ -2552,16 +2459,11 @@ impl ShardedService {
         })
     }
 
-    /// [`ShardedService::checkpoint_into`] through a throwaway sink,
-    /// returning the releases the drain delivered alongside the image
-    /// (they are real output — a caller that discards them loses windows).
+    /// [`ShardedService::checkpoint_into`] with the return-value shape of
+    /// the other legacy wrappers: the [`BatchOutput`] is always empty.
     pub fn checkpoint(&mut self) -> Result<(ServiceCheckpoint, BatchOutput), CoreError> {
-        let mut image = None;
-        let output = self.with_wrapper_sink(|service, sink| {
-            image = Some(service.checkpoint_into(sink)?);
-            Ok(())
-        })?;
-        Ok((image.expect("set on the Ok path above"), output))
+        let image = self.checkpoint_into(&mut VecSink::subscribed([]))?;
+        Ok((image, BatchOutput::default()))
     }
 
     /// Rebuild a service from a checkpoint image and the [`ServiceConfig`]
@@ -2712,13 +2614,11 @@ impl ShardedService {
             merged_state: QueryStateSet::restore(checkpoint.merged_state),
             control,
             activations: checkpoint.activations,
-            pending: VecDeque::new(),
-            outbox: VecDeque::new(),
             deferred: None,
             fill,
             spare,
             route_scratch: Vec::new(),
-            round_pool: Vec::new(),
+            round: Round::default(),
             settle_scratch: Vec::new(),
             merged_scratch: Vec::new(),
             wrapper_sink: VecSink::subscribed([]),
@@ -2769,8 +2669,8 @@ impl ShardedService {
     }
 
     /// Book one shard's releases everywhere they matter: the per-subject
-    /// ledgers, the query ledger, the merge accumulators, and the
-    /// caller's sink (which takes ownership — releases are never cloned).
+    /// ledgers, the query ledger, the merge accumulators, and `sink`
+    /// (which takes ownership — releases are never cloned).
     ///
     /// Charging is epoch-aware: releases arrive in index order, so their
     /// epochs are non-decreasing, and each run of same-epoch releases
@@ -2784,7 +2684,12 @@ impl ShardedService {
     /// violation records the first [`CoreError`] for the next fallible
     /// call while deliveries keep flowing, so a corrupted plan cannot
     /// poison the whole service.
-    fn settle(&mut self, shard_idx: usize, releases: &mut Vec<WindowRelease>) {
+    fn settle<S: ReleaseSink>(
+        &mut self,
+        shard_idx: usize,
+        releases: &mut Vec<WindowRelease>,
+        sink: &mut S,
+    ) {
         if releases.is_empty() {
             return;
         }
@@ -2834,10 +2739,10 @@ impl ShardedService {
         }
         for release in releases.drain(..) {
             self.merge.observe(&release);
-            self.outbox.push_back(Delivery::Shard(ShardRelease {
+            sink.shard_release(ShardRelease {
                 shard: shard_idx,
                 release,
-            }));
+            });
         }
     }
 
@@ -2848,24 +2753,12 @@ impl ShardedService {
     /// watermark instead of contributing to it); a service with no
     /// subjects at all has no watermark.
     ///
-    /// A draining read like every other stats getter: in-flight rounds
-    /// settle first, so the reported watermark never runs ahead of state
-    /// changes the caller can observe (deliveries, spends). The value
-    /// itself comes from the routing-time clock mirrors and is exact
-    /// even mid-pipeline — the drain aligns the *rest* of the service
-    /// with it, not the other way around.
-    pub fn low_watermark(&mut self) -> Option<Timestamp> {
-        self.fold_pending();
-        self.low_watermark_unsynced()
-    }
-
-    /// The mirror read behind [`ShardedService::low_watermark`], used on
-    /// the ingestion hot path where the current round is *intentionally*
-    /// still in flight. Exact without a sync: the mirror tracks the max
-    /// timestamp ever routed to (or heartbeat at) each shard, which is
-    /// precisely the reorder buffer's clock (late arrivals below the
+    /// Read from the routing-time clock mirrors, so it is exact even
+    /// while a call's round is still being built: the mirror tracks the
+    /// max timestamp ever routed to (or heartbeat at) each shard, which
+    /// is precisely the reorder buffer's clock (late arrivals below the
     /// watermark never raise it).
-    fn low_watermark_unsynced(&self) -> Option<Timestamp> {
+    pub fn low_watermark(&self) -> Option<Timestamp> {
         // a pure fold over the mirrors (no scratch): `None` when no shard
         // has subjects, or when any subject-bearing shard has not yet
         // observed stream time; the minimum watermark otherwise
@@ -2915,14 +2808,13 @@ impl ShardedService {
     /// time. Both modes are bit-for-bit identical (shard state never
     /// moves; jobs fold back in shard order either way), so this only
     /// trades thread fan-out against channel overhead. A 1-shard service
-    /// always runs inline. Drains the pipeline first.
+    /// always runs inline.
     ///
     /// Calling `set_parallel(true)` on a service the supervisor demoted
     /// (see [`ShardedService::health`]) is an explicit *re-promotion*: it
     /// clears the degraded flag and resets the per-shard heal budgets, so
     /// the supervisor starts healing from a clean slate again.
     pub fn set_parallel(&mut self, parallel: bool) {
-        self.fold_pending();
         if !parallel {
             self.workers.clear();
             self.parallel = false;
@@ -2961,28 +2853,21 @@ impl ShardedService {
     /// Unknown keys are explicit: `None` when `subject` never had a
     /// ledger, or when `pattern` was never a charged pattern of theirs —
     /// never a silent zero. `Some(Epsilon::ZERO)` means "registered,
-    /// nothing spent yet".
-    ///
-    /// A draining read: in-flight rounds settle first, so the reported
-    /// spend includes every release of every batch already pushed —
-    /// without the drain, the pipeline's one-call lag would under-report
-    /// spend that is already irrevocably committed on the shards.
-    pub fn budget_spent(&mut self, subject: SubjectId, pattern: PatternId) -> Option<Epsilon> {
-        self.fold_pending();
+    /// nothing spent yet". The spend includes every release of every
+    /// call already returned.
+    pub fn budget_spent(&self, subject: SubjectId, pattern: PatternId) -> Option<Epsilon> {
         let dense = self.control.dense_index(subject)?;
         self.ledgers.get(dense as usize)?.try_spent(&pattern)
     }
 
     /// Budget `subject` spent on `pattern` inside one epoch (`None` under
-    /// the same unknown-key rules as [`ShardedService::budget_spent`]; a
-    /// draining read for the same reason).
+    /// the same unknown-key rules as [`ShardedService::budget_spent`]).
     pub fn budget_spent_in_epoch(
-        &mut self,
+        &self,
         subject: SubjectId,
         pattern: PatternId,
         epoch: u64,
     ) -> Option<Epsilon> {
-        self.fold_pending();
         let dense = self.control.dense_index(subject)?;
         self.ledgers
             .get(dense as usize)?
@@ -2996,16 +2881,13 @@ impl ShardedService {
     }
 
     /// Events that arrived later than the bounded delay and were dropped,
-    /// summed over shards. A draining read: in-flight rounds settle first
-    /// so the count is exact (a checkpoint-style sync point).
-    pub fn dropped(&mut self) -> u64 {
-        self.fold_pending();
+    /// summed over shards.
+    pub fn dropped(&self) -> u64 {
         self.meta.iter().map(|m| m.dropped).sum()
     }
 
-    /// Windows released so far, per shard (a draining read).
-    pub fn releases_per_shard(&mut self) -> Vec<usize> {
-        self.fold_pending();
+    /// Windows released so far, per shard.
+    pub fn releases_per_shard(&self) -> Vec<usize> {
         self.meta.iter().map(|m| m.released).collect()
     }
 
@@ -3014,11 +2896,9 @@ impl ShardedService {
     /// over at its activation window). Names are ambiguous after
     /// revocation and re-registration; the id is the stable consumer
     /// handle — key reads with [`MergedRelease::answer_for`] or sink
-    /// subscriptions, not positions. A draining read: the in-force epoch
-    /// is the latest activation whose boundary the (synced) release
-    /// frontier has passed.
-    pub fn query_names(&mut self) -> Vec<(QueryId, &str)> {
-        self.fold_pending();
+    /// subscriptions, not positions. The in-force epoch is the latest
+    /// activation whose boundary the release frontier has passed.
+    pub fn query_names(&self) -> Vec<(QueryId, &str)> {
         let released = self.meta[0].released;
         let epoch = self
             .activations
@@ -3038,16 +2918,13 @@ impl ShardedService {
     /// far across every shard release, summed over epochs. Unknown keys
     /// are explicit: `None` when `query` never carried a dedicated
     /// budget; `Some(Epsilon::ZERO)` means "registered, nothing spent
-    /// yet". A draining read, like [`ShardedService::budget_spent`].
-    pub fn query_budget_spent(&mut self, query: QueryId) -> Option<Epsilon> {
-        self.fold_pending();
+    /// yet".
+    pub fn query_budget_spent(&self, query: QueryId) -> Option<Epsilon> {
         self.query_ledger.try_spent(&query)
     }
 
-    /// Events sitting in reorder buffers, not yet past the watermark (a
-    /// draining read).
-    pub fn buffered(&mut self) -> usize {
-        self.fold_pending();
+    /// Events sitting in reorder buffers, not yet past the watermark.
+    pub fn buffered(&self) -> usize {
         self.meta.iter().map(|m| m.buffered).sum()
     }
 }
@@ -3156,11 +3033,14 @@ mod tests {
         let mut inline = builder(3).build().unwrap();
         inline.set_parallel(false);
         assert!(!inline.is_parallel());
+        let mut delivered = 0;
         for batch in &batches {
             let a = parallel.push_batch(batch.clone()).unwrap();
             let b = inline.push_batch(batch.clone()).unwrap();
+            delivered += a.shard_releases.len();
             assert_eq!(a, b);
         }
+        assert!(delivered > 0, "the pushes compared at least one release");
         let a = parallel
             .advance_watermark(Timestamp::from_millis(90))
             .unwrap();
@@ -3176,6 +3056,40 @@ mod tests {
                     inline.budget_spent(subject, pdp_cep::PatternId(pid)),
                 );
             }
+        }
+    }
+
+    /// The push whose batch moves the low watermark past a window's end
+    /// delivers that window — every shard's release, its answer records
+    /// and the merged row — into its own sink, inline and on workers.
+    #[test]
+    fn the_push_that_closes_a_window_delivers_it() {
+        for (n_shards, parallel) in [(1, false), (3, true)] {
+            let mut svc = builder(n_shards).build().unwrap();
+            svc.set_parallel(parallel);
+            assert_eq!(svc.is_parallel(), parallel);
+            // every subject reports inside window 0: nothing closes
+            let mut sink = VecSink::all();
+            svc.push_batch_into(vec![ke(1, 0, 2), ke(2, 3, 4), ke(3, 2, 6)], &mut sink)
+                .unwrap();
+            assert!(sink.shard_releases.is_empty() && sink.merged.is_empty());
+            // every subject reaches 16 ms: the low watermark (11 ms)
+            // passes window 0's end (10 ms)
+            let mut sink = VecSink::all();
+            svc.push_batch_into(vec![ke(1, 1, 16), ke(2, 3, 16), ke(3, 2, 16)], &mut sink)
+                .unwrap();
+            let released: Vec<(usize, usize)> = sink
+                .shard_releases
+                .iter()
+                .map(|sr| (sr.shard, sr.release.index))
+                .collect();
+            let want: Vec<(usize, usize)> = (0..n_shards).map(|s| (s, 0)).collect();
+            assert_eq!(released, want, "{n_shards} shard(s)");
+            let merged: Vec<usize> = sink.merged.iter().map(|m| m.index).collect();
+            assert_eq!(merged, vec![0], "{n_shards} shard(s)");
+            let answered: Vec<(QueryId, usize)> =
+                sink.answers.iter().map(|a| (a.query, a.window)).collect();
+            assert_eq!(answered, vec![(QueryId(0), 0)], "{n_shards} shard(s)");
         }
     }
 
@@ -3199,8 +3113,8 @@ mod tests {
         assert_eq!(svc.events_ingested(), 0);
         assert_eq!(svc.buffered(), 0);
         assert_eq!(svc.releases_per_shard(), vec![0]);
-        // the same batch without the poison pill applies normally (its
-        // releases surface at the next sync point — the pipeline lag)
+        // the same batch without the poison pill applies normally (the
+        // watermark it sets stays inside window 0, so finish closes it)
         svc.push_batch(poisoned[..2].to_vec()).unwrap();
         let out = svc.finish().unwrap();
         assert!(!out.shard_releases.is_empty());
@@ -3541,10 +3455,12 @@ mod tests {
                 .unwrap();
         }
         // 500 puts the watermark at 495: 10 and 20 are released to the
-        // engine (which refuses the first), 500 itself stays pending
-        svc.push_batch(vec![ke(1, 0, 10), ke(1, 1, 20), ke(1, 2, 500)])
-            .expect("inline jobs run at the next fold");
-        assert!(matches!(svc.sync(), Err(CoreError::Detection(_))));
+        // engine (which refuses the first), 500 itself stays pending; the
+        // push that caused the failure is the one that reports it
+        assert!(matches!(
+            svc.push_batch(vec![ke(1, 0, 10), ke(1, 1, 20), ke(1, 2, 500)]),
+            Err(CoreError::Detection(_))
+        ));
         let shard = svc.shards[0].lock().unwrap();
         assert!(shard.ready.is_empty(), "unfed releases are discarded");
         assert_eq!(

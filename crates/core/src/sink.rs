@@ -55,17 +55,16 @@ pub struct QueryAnswer {
 ///    the sink [`wants`](ReleaseSink::wants), in ascending [`QueryId`]
 ///    order — followed by the [`MergedRelease`] record itself.
 ///
-/// # Delivery-time contract (pipeline lag)
+/// # Delivery-time contract
 ///
-/// Ingestion is pipelined with one call of lag: the releases produced by
-/// `push_batch_into` call *k* are delivered at the start of call *k + 1*,
-/// or at the next synchronizing operation (`advance_watermark_into`,
-/// `finish_into`, `begin_epoch`, `sync`, or any stats read), whichever
-/// comes first. The sink passed to the *delivering* call receives them —
-/// filtering via [`wants`](ReleaseSink::wants) happens at delivery time,
-/// so no record is lost when consecutive calls use different sinks.
-/// Synchronizing calls (`advance_watermark_into`, `finish_into`) drain
-/// the pipeline and deliver their own releases before returning.
+/// Every delivering call delivers the releases its own input causes
+/// before it returns: the call that moves the low watermark past a
+/// window's end delivers that window. Nothing is held back for a later
+/// call, and the sink-less operations (`begin_epoch`, `sync`, stats
+/// reads) never settle a release, so the sink passed to a call receives
+/// exactly that call's output, filtered through
+/// [`wants`](ReleaseSink::wants). `checkpoint_into`, and `shutdown_into`
+/// on a finished service, deliver nothing.
 ///
 /// Two runs over the same inputs and seeds deliver the identical
 /// sequence; the equivalence anchors in `tests/consumer_api.rs` pin the

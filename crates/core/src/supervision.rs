@@ -4,18 +4,18 @@
 //! # The healing contract
 //!
 //! A supervised [`ShardedService`](crate::service::ShardedService) detects
-//! a dead or poisoned shard worker at the next sync point (the fold that
-//! precedes every batch, watermark, epoch, checkpoint or finish call) and
-//! heals it **in place**, without disturbing the other shards' pipelines.
-//! Which heal applies depends on what the fault destroyed:
+//! a dead or poisoned shard worker when it folds the round that met it
+//! (every batch, watermark or finish call folds its own round before it
+//! returns) and heals it **in place**, without disturbing the other
+//! shards. Which heal applies depends on what the fault destroyed:
 //!
 //! * **In-place respawn** — when the worker thread died but the shard's
 //!   mutex is *clean* (e.g. a scripted kill severed its channel), the
 //!   in-service state mirror is still authoritative: jobs that could not
 //!   be submitted run inline under the same lock, in the same order, and
-//!   a fresh worker thread is spawned at the sync point. No durability
-//!   artifacts are consulted; the output is bit-for-bit the fault-free
-//!   output.
+//!   a fresh worker thread is spawned once the round has folded. No
+//!   durability artifacts are consulted; the output is bit-for-bit the
+//!   fault-free output.
 //! * **Checkpoint + WAL-tail replay** — when the worker panicked while
 //!   holding the lock the mutex is *poisoned* and the in-memory shard may
 //!   be mid-job, so it cannot be trusted. The supervisor rebuilds that one
@@ -64,15 +64,14 @@ use crate::service::splitmix64;
 
 /// One scripted fault in a [`FaultPlan`].
 ///
-/// Rounds are 1-based and count every pipeline round the service submits
+/// Rounds are 1-based and count every round the service submits
 /// (each `push_batch` and `advance_watermark` submits one round; `finish`
 /// submits two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Sever worker `shard`'s job channel at the start of the call that
-    /// submits round `before_round`, while the previous round may still
-    /// be in flight. The worker drains already-queued jobs and exits; the
-    /// shard's state mirror stays clean.
+    /// submits round `before_round`. The worker is idle between calls, so
+    /// it exits at once; the shard's state mirror stays clean.
     KillWorker {
         /// Target shard.
         shard: usize,
@@ -164,7 +163,7 @@ impl FaultPlan {
 
     /// Derive a reproducible random chaos schedule from a seed: one
     /// worker kill, one shard poison and one transient WAL failure,
-    /// spread over `rounds` pipeline rounds and `shards` shards via the
+    /// spread over `rounds` rounds and `shards` shards via the
     /// same splitmix64 chain the service uses for routing. Same seed,
     /// same plan — always.
     pub fn from_seed(seed: u64, rounds: u64, shards: usize) -> Self {

@@ -10,7 +10,11 @@
 //!
 //! `--shutdown` sends a graceful `Shutdown` to the server after the run
 //! (CI uses this to assert a clean teardown). Exits non-zero if any
-//! connection failed at the transport level, or if nothing was acked.
+//! connection failed at the transport level, if nothing was acked, or if
+//! the subscribed connection received no delivery although the run
+//! advanced the watermark (`--watermark-every` > 0): a server that acks
+//! but never delivers fails. The shutdown is still sent in the last two
+//! cases, so the server comes down either way.
 
 use pdp_server::{run_load, Client, LoadConfig};
 
@@ -85,17 +89,25 @@ fn main() {
         h.max(),
         h.len(),
     );
+    let mut failed = false;
     if report.batches_acked == 0 {
         eprintln!("pdp-load: nothing was acknowledged");
-        std::process::exit(1);
+        failed = true;
+    }
+    if config.subscribe && config.watermark_every > 0 && report.deliveries == 0 {
+        eprintln!("pdp-load: the subscribed connection received no delivery");
+        failed = true;
     }
     if shutdown {
         match Client::connect(&config.addr, "pdp-load-admin").and_then(|mut c| c.shutdown()) {
             Ok(total) => println!("pdp-load: server shut down after {total} events"),
             Err(e) => {
                 eprintln!("pdp-load: shutdown failed: {e}");
-                std::process::exit(1);
+                failed = true;
             }
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -543,8 +543,7 @@ pub enum Frame {
     PushBatch {
         /// Per-connection client sequence number.
         seq: u64,
-        /// The batch (may be empty: an empty push still drains the
-        /// pipeline's one-call lag).
+        /// The batch (may be empty).
         events: Vec<KeyedEvent>,
     },
     /// `0x03` — advance the service watermark (sequenced like a push).
@@ -578,14 +577,14 @@ pub enum Frame {
         /// Per-connection client sequence number.
         seq: u64,
     },
-    /// `0x08` — sequenced admin: settle the pipeline and image the
-    /// service state (the checkpoint stays server-side).
+    /// `0x08` — sequenced admin: image the service state (the
+    /// checkpoint stays server-side).
     Checkpoint {
         /// Per-connection client sequence number.
         seq: u64,
     },
-    /// `0x09` — graceful shutdown of the whole server: settles the
-    /// pipeline, flushes the sink outbox, fsyncs the WAL, then answers
+    /// `0x09` — graceful shutdown of the whole server: finishes the
+    /// stream, delivers what that releases, fsyncs the WAL, then answers
     /// [`Frame::ShutdownAck`] and closes every connection.
     Shutdown,
 

@@ -59,8 +59,9 @@
 //! arrival order.
 //!
 //! **Deliveries.** A `Subscribe` flags which push records this
-//! connection receives. Deliveries produced by one call are written
-//! before that call's `Ack` on the requesting connection, preserving the
+//! connection receives. A call's deliveries are the releases its own
+//! input caused, written before that call's `Ack` on the requesting
+//! connection, preserving the
 //! in-process [`pdp_core::ReleaseSink`] delivery-order contract per
 //! connection. Release records carry only the public release fields —
 //! the sealed pre-protection audit never crosses the wire.
@@ -70,8 +71,8 @@
 //! backpressure instead of unbounded buffering (the threading model is
 //! documented in `src/server.rs`).
 //!
-//! **Shutdown.** `Shutdown` settles the pipeline, flushes the sink
-//! outbox, fsyncs the WAL ([`pdp_core::ShardedService::shutdown_into`]),
+//! **Shutdown.** `Shutdown` finishes the stream, delivers what that
+//! releases, fsyncs the WAL ([`pdp_core::ShardedService::shutdown_into`]),
 //! answers `ShutdownAck`, then closes every connection.
 //!
 //! ## Pieces

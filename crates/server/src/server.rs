@@ -32,8 +32,8 @@
 //! # Shutdown
 //!
 //! A [`Frame::Shutdown`] makes the owner run
-//! [`ShardedService::shutdown_into`] (settle the pipeline → flush the
-//! sink outbox → surface deferred errors → fsync the WAL), answer
+//! [`ShardedService::shutdown_into`] (finish the stream → deliver what
+//! it releases → surface deferred errors → fsync the WAL), answer
 //! [`Frame::ShutdownAck`], then drop every connection's out-queue sender.
 //! The accept thread — woken by a loopback self-connect — shuts down the
 //! *read* half of every live connection (waking readers parked in

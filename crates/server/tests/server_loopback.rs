@@ -366,3 +366,51 @@ fn join_completes_with_an_idle_connection_open() {
     let _ = handle.join();
     assert_eq!(idle.read_raw().unwrap_err(), ClientError::Closed);
 }
+
+/// Every subject's events at one instant: a push that moves the low
+/// watermark for the whole population at once.
+fn every_subject_at(ms: i64) -> Vec<KeyedEvent> {
+    (0..N_SUBJECTS)
+        .map(|s| KeyedEvent::new(SubjectId(s), Event::new(EventType(0), Timestamp(ms))))
+        .collect()
+}
+
+/// The push that closes a window delivers it before its ack: a merged
+/// subscriber already holds the window's `DeliverMerged` frame when
+/// `push_batch` returns.
+fn push_delivers_the_window_it_closes(n_shards: usize, parallel: bool) {
+    let (mut service, _) = build_service(n_shards);
+    service.set_parallel(parallel);
+    assert_eq!(service.is_parallel(), parallel);
+    let handle = serve(service, &ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr(), "same-call").unwrap();
+    client.subscribe(false, false, true).unwrap();
+    // every subject inside window 0: nothing closes
+    client.push_batch(every_subject_at(10)).unwrap();
+    assert!(client.take_deliveries().is_empty());
+    // the low watermark moves to 110 ms, past window 0's end (100 ms)
+    client
+        .push_batch(every_subject_at(WINDOW_MS + MAX_DELAY_MS + 10))
+        .unwrap();
+    let merged: Vec<u64> = client
+        .take_deliveries()
+        .iter()
+        .map(|frame| match frame {
+            Frame::DeliverMerged { record } => record.index,
+            other => panic!("only merged releases are subscribed, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(merged, vec![0], "the closing push's ack follows its window");
+    client.shutdown().unwrap();
+    let _ = handle.join();
+}
+
+#[test]
+fn push_delivers_the_window_it_closes_inline() {
+    push_delivers_the_window_it_closes(1, false);
+}
+
+#[test]
+fn push_delivers_the_window_it_closes_parallel() {
+    push_delivers_the_window_it_closes(4, true);
+}

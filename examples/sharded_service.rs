@@ -163,7 +163,7 @@ fn main() {
         service.dropped()
     );
     println!("released {merged_windows} merged (population-level) windows");
-    let mut spent = |subject: SubjectId, pattern| {
+    let spent = |subject: SubjectId, pattern| {
         service
             .budget_spent(subject, pattern)
             .map(|e| format!("ε = {:.2}", e.value()))

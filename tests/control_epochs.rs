@@ -208,10 +208,8 @@ fn run_churn_schedule(batches_before: usize, batches_after: usize, events_per_ba
         push(&mut svc, &mut merged, events_per_batch);
     }
     merged.extend(svc.finish().unwrap().merged);
-    // split by the activation boundary: pipelined ingestion delivers a
-    // round's releases at the next call, so per-push attribution would
-    // misplace the round in flight at the transition — the window index
-    // is the authoritative epoch split
+    // split by the activation boundary: the window index, not the push
+    // that delivered a window, is the authoritative epoch split
     let epoch0_releases = merged.iter().filter(|m| m.index < boundary).count();
     let epoch1_releases = merged.len() - epoch0_releases;
 

@@ -358,7 +358,7 @@ fn rejected_commands_replay_harmlessly() {
     let mut replay_sink = VecSink::all();
     let recovered =
         ShardedService::recover_into(config(1, false), checkpoint, &wal_path, &mut replay_sink);
-    let mut recovered = recovered.expect("rejected command must not abort recovery");
+    let recovered = recovered.expect("rejected command must not abort recovery");
     assert_eq!(recovered.events_ingested(), b1().len() as u64);
     assert_eq!(
         replay_sink.shard_releases, sink.shard_releases,

@@ -56,22 +56,20 @@ fn batch(round: i64) -> Vec<KeyedEvent> {
     ]
 }
 
-/// Killing a worker while a round is in flight is reported as a typed
-/// error naming the dead shard — on the *next* fallible operation, since
-/// the pipeline folds one call behind — and dropping the service with
-/// the failure outstanding does not hang or panic.
+/// Killing a worker between two rounds is reported as a typed error
+/// naming the dead shard — by the push whose round first needs it — and
+/// dropping the service with the failure outstanding does not hang or
+/// panic.
 #[test]
 fn mid_pipeline_worker_death_surfaces_and_teardown_completes() {
     let mut svc = service(3);
-    // scripted: worker 1 dies before round 2, i.e. while round 1 is in
-    // flight — exactly the old ad-hoc `kill_worker` timing, reproducible
+    // scripted: worker 1 dies before round 2 is submitted
     svc.inject_faults(FaultPlan::new().kill_worker(1, 2));
     svc.push_batch(vec![ke(1, 0, 2), ke(2, 3, 4), ke(3, 2, 7)])
         .unwrap();
 
-    // keep pushing until the dead shard is hit: the first push settles
-    // the in-flight round (already processed, so it may still succeed),
-    // the next submit to shard 1 must surface the typed error
+    // keep pushing until the dead shard is hit: the first submit to
+    // shard 1 must surface the typed error
     let mut seen = None;
     for round in 0..4 {
         if let Err(err) = svc.push_batch(batch(round)) {
@@ -104,8 +102,8 @@ fn idle_worker_death_surfaces_on_next_push() {
 }
 
 /// A supervised service absorbs the same kill: the bounced jobs run
-/// inline under the intact shard state, the worker is respawned at the
-/// next sync point, and every delivery matches the fault-free run
+/// inline under the intact shard state, the worker is respawned once the
+/// round has folded, and every delivery matches the fault-free run
 /// bit-for-bit.
 #[test]
 fn supervised_kill_heals_in_place_with_fault_free_output() {
@@ -151,10 +149,8 @@ fn unsupervised_poison_surfaces_typed_error() {
     quiet_poison_panics();
     let mut svc = service(2);
     svc.inject_faults(FaultPlan::new().poison_shard(0, 1));
-    // the poisoning round is in flight when push returns; the failure
-    // folds in at the next sync point
-    svc.push_batch(vec![ke(1, 0, 2), ke(2, 3, 4)]).unwrap();
-    let err = svc.sync().unwrap_err();
+    // the push whose round the poison leads is the one that reports it
+    let err = svc.push_batch(vec![ke(1, 0, 2), ke(2, 3, 4)]).unwrap_err();
     assert_eq!(err, CoreError::ShardPoisoned { shard: 0 });
     drop(svc);
 }
